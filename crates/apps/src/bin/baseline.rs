@@ -59,8 +59,8 @@ fn main() {
             "--trace-out" => {
                 trace_out = Some(cli::parse::<String>(args.next(), "--trace-out").into())
             }
-            other => cli::usage_error(
-                &format!("unknown argument `{other}`"),
+            other => cli::unknown_argument(
+                other,
                 &format!(
                     "usage: baseline [--graph {}] [--minimize] [--max-events N] \
                      [--batch N] [--jobs W] [--threads W] [--seed S] \

@@ -76,8 +76,8 @@ fn main() {
             "--trace-out" => {
                 trace_out = Some(cli::parse::<String>(args.next(), "--trace-out").into())
             }
-            other => cli::usage_error(
-                &format!("unknown argument `{other}`"),
+            other => cli::unknown_argument(
+                other,
                 &format!(
                     "usage: faults [--graph {}] [--firings N] [--random-runs N] \
                      [--threads N] [--recovery-firings K] [--stall-task NAME] \

@@ -58,7 +58,7 @@ fn main() {
             "--trace-out" => {
                 trace_out = Some(cli::parse::<String>(args.next(), "--trace-out").into())
             }
-            other => cli::usage_error(&format!("unknown argument `{other}`"), USAGE),
+            other => cli::unknown_argument(other, USAGE),
         }
     }
 

@@ -17,8 +17,8 @@
 //! batteries forced single-threaded — the pool owns the cores).
 //!
 //! `--metrics` prints the aggregated search telemetry (engine counters,
-//! phase spans, per-probe latency histogram; per-worker pool metrics in
-//! fleet mode) to stderr, and `--trace-out PATH` writes a
+//! phase spans, probe latency for all probes and for failing ones;
+//! per-worker pool metrics in fleet mode) to stderr, and `--trace-out PATH` writes a
 //! Perfetto-loadable Chrome trace of one instrumented run of the graph.
 //! Both are gated: without the flags the search runs the uninstrumented
 //! hot path.
@@ -56,8 +56,8 @@ fn main() {
             "--trace-out" => {
                 trace_out = Some(cli::parse::<String>(args.next(), "--trace-out").into())
             }
-            other => cli::usage_error(
-                &format!("unknown argument `{other}`"),
+            other => cli::unknown_argument(
+                other,
                 &format!(
                     "usage: minimize [--graph {}] [--firings N] [--random-runs N] \
                      [--threads N] [--batch N] [--jobs W] [--seed S] \
@@ -129,6 +129,10 @@ fn main() {
     println!(
         "battery health: {} occupancy breaches, {} scenarios skipped (wall clock)",
         report.occupancy_breaches, report.scenarios_skipped
+    );
+    println!(
+        "fail-fast probes: {} scenarios cancelled after an earlier scenario failed",
+        report.scenarios_cancelled
     );
     if let Some(m) = &report.metrics {
         eprint!("{}", m.snapshot());

@@ -806,10 +806,16 @@ pub mod cli {
         }
     }
 
-    /// Prints `error: <message>` followed by the usage line, then exits
-    /// with status 2 — the uniform unknown-argument path.
-    pub fn usage_error(message: &str, usage: &str) -> ! {
-        eprintln!("error: {message}");
+    /// The uniform path for an argument no flag matched: `-h` or
+    /// `--help` prints the usage line to stdout and exits with status 0;
+    /// anything else prints `error: unknown argument` and the usage line
+    /// to stderr and exits with status 2.
+    pub fn unknown_argument(arg: &str, usage: &str) -> ! {
+        if arg == "-h" || arg == "--help" {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        eprintln!("error: unknown argument `{arg}`");
         eprintln!("{usage}");
         std::process::exit(2);
     }

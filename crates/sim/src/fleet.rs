@@ -6,21 +6,20 @@
 //! Production traffic is a *corpus*: scenario sweeps, one minimization
 //! per graph, VRDF-vs-SDF tables for a whole family of applications.
 //! [`run_fleet`] executes a [`FleetJob`] for every [`FleetItem`] of a
-//! corpus over a persistent pool of worker threads:
+//! corpus on the crate's one worker pool — the same pool the scenario
+//! battery fans out on:
 //!
-//! * **Chunked-deque scheduling** — workers draw the next corpus index
+//! * **Indexed work claiming** — workers claim the next corpus index
 //!   from one shared atomic counter, so a slow graph never stalls the
 //!   queue behind it; per-graph granularity keeps contention at one
-//!   `fetch_add` per job.
-//! * **Deterministic sharded merge** — each worker appends to its own
-//!   result shard, every entry tagged with its corpus index, and the
-//!   merge re-sorts by index.  Job outcomes depend only on the graph
-//!   (never on the worker or the draw order), so
-//!   [`FleetReport::results`] is bit-identical for every worker count —
-//!   the same invariant [`crate::validate_capacities`] pins for
-//!   scenario order.  Wall-clock timings ([`FleetReport::latencies`],
-//!   [`FleetReport::worker_jobs`]) are kept *outside* the results so
-//!   the invariant is a plain `==`.
+//!   atomic increment per job.
+//! * **Merge by index** — every outcome goes back to its corpus index.
+//!   Job outcomes depend only on the graph (never on the worker or the
+//!   draw order), so [`FleetReport::results`] is bit-identical for every
+//!   worker count — the same invariant [`crate::validate_capacities`]
+//!   pins for scenario order.  Wall-clock timings
+//!   ([`FleetReport::latencies`], [`FleetReport::worker_jobs`]) are kept
+//!   *outside* the results so the invariant is a plain `==`.
 //! * **Nested-parallelism rule** — the fleet owns the cores.  Inside a
 //!   fleet run every scenario battery is collapsed to a single thread
 //!   ([`FleetOptions::battery_options`], the oversubscription guard);
@@ -43,13 +42,12 @@
 //! (see the `sim_construction` bench).
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use vrdf_core::{compute_buffer_capacities, TaskGraph, ThroughputConstraint};
 
+use crate::pool::{self, Outcome};
 use crate::search::{minimize_capacities, EdgeMinimum, SearchBudget, SearchOptions};
 use crate::validate::{effective_threads, validate_capacities, EngineKind, ValidationOptions};
 
@@ -516,29 +514,9 @@ impl fmt::Display for FleetReport {
     }
 }
 
-/// Renders a caught panic payload (string payloads verbatim).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// Runs one job to its outcome.  Infallible by construction: every
-/// error and panic is folded into the outcome so the fleet never
-/// aborts on one graph.
-fn run_job(item: &FleetItem, opts: &FleetOptions, battery: &ValidationOptions) -> JobOutcome {
-    match catch_unwind(AssertUnwindSafe(|| execute_job(item, opts, battery))) {
-        Ok(outcome) => outcome,
-        Err(payload) => JobOutcome::Panicked {
-            message: panic_message(payload),
-        },
-    }
-}
-
+/// Runs one job to its outcome.  Every error is folded into the outcome,
+/// and the pool turns a panic into [`JobOutcome::Panicked`], so the fleet
+/// never aborts on one graph.
 fn execute_job(item: &FleetItem, opts: &FleetOptions, battery: &ValidationOptions) -> JobOutcome {
     let analysis = match compute_buffer_capacities(&item.graph, item.constraint) {
         Ok(analysis) => analysis,
@@ -596,34 +574,6 @@ fn execute_job(item: &FleetItem, opts: &FleetOptions, battery: &ValidationOption
     }
 }
 
-/// One worker's drain loop: draw corpus indices from the shared counter
-/// until the corpus is exhausted, appending `(index, outcome, latency)`
-/// to a private shard.
-fn drain(
-    corpus: &[FleetItem],
-    next: &AtomicUsize,
-    opts: &FleetOptions,
-    battery: &ValidationOptions,
-    deadline: Option<Instant>,
-) -> Vec<(usize, JobOutcome, Duration)> {
-    let mut shard = Vec::new();
-    loop {
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        if index >= corpus.len() {
-            return shard;
-        }
-        let expired = deadline.is_some_and(|d| Instant::now() >= d);
-        let (outcome, latency) = if expired {
-            (JobOutcome::Skipped, Duration::ZERO)
-        } else {
-            let started = Instant::now();
-            let outcome = run_job(&corpus[index], opts, battery);
-            (outcome, started.elapsed())
-        };
-        shard.push((index, outcome, latency));
-    }
-}
-
 /// Executes [`FleetOptions::job`] for every graph of the corpus over a
 /// shared worker pool and merges the per-worker shards back into corpus
 /// order.
@@ -639,57 +589,41 @@ pub fn run_fleet(corpus: &[FleetItem], opts: &FleetOptions) -> FleetReport {
     let deadline = opts.wall_clock.map(|budget| started + budget);
     let workers = effective_threads(opts.workers, corpus.len());
     let battery = opts.battery_options();
-    let next = AtomicUsize::new(0);
+    let slots = pool::run(
+        &mut vec![(); workers],
+        corpus.len(),
+        deadline,
+        None,
+        |_, i| execute_job(&corpus[i], opts, &battery),
+    );
 
-    let shards: Vec<Vec<(usize, JobOutcome, Duration)>> = if workers <= 1 {
-        vec![drain(corpus, &next, opts, &battery, deadline)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| scope.spawn(|| drain(corpus, &next, opts, &battery, deadline)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // Jobs isolate every panic with catch_unwind, so a
-                    // join failure means the panic machinery itself
-                    // failed — not recoverable.
-                    #[allow(clippy::expect_used)]
-                    h.join().expect("fleet worker died outside catch_unwind")
-                })
-                .collect()
-        })
-    };
-
-    let worker_jobs: Vec<usize> = shards.iter().map(Vec::len).collect();
-    let mut worker_metrics: Vec<WorkerMetrics> = shards
-        .iter()
-        .map(|shard| WorkerMetrics {
-            jobs: shard.len(),
-            busy: shard.iter().map(|(_, _, latency)| *latency).sum(),
-            idle: Duration::ZERO, // filled once the fleet elapsed is known
-            ok: shard.iter().filter(|(_, o, _)| o.ok()).count(),
-            failed: shard
-                .iter()
-                .filter(|(_, o, _)| !o.ok() && *o != JobOutcome::Skipped)
-                .count(),
-            skipped: shard
-                .iter()
-                .filter(|(_, o, _)| *o == JobOutcome::Skipped)
-                .count(),
-        })
-        .collect();
-    let mut merged: Vec<(usize, JobOutcome, Duration)> = shards.into_iter().flatten().collect();
-    merged.sort_by_key(|(index, _, _)| *index);
-    let mut results = Vec::with_capacity(merged.len());
-    let mut latencies = Vec::with_capacity(merged.len());
-    for (index, outcome, latency) in merged {
+    let mut worker_metrics = vec![WorkerMetrics::default(); workers];
+    let mut results = Vec::with_capacity(slots.len());
+    let mut latencies = Vec::with_capacity(slots.len());
+    for (index, slot) in slots.into_iter().enumerate() {
+        let outcome = match slot.outcome {
+            Outcome::Done(outcome) => outcome,
+            Outcome::Panicked(message) => JobOutcome::Panicked { message },
+            // A fleet run is never fail-fast, so nothing is cancelled.
+            Outcome::Skipped | Outcome::Cancelled => JobOutcome::Skipped,
+        };
+        if let Some(m) = slot.worker.map(|w| &mut worker_metrics[w]) {
+            m.jobs += 1;
+            m.busy += slot.wall;
+            if outcome.ok() {
+                m.ok += 1;
+            } else if outcome == JobOutcome::Skipped {
+                m.skipped += 1;
+            } else {
+                m.failed += 1;
+            }
+        }
         results.push(FleetResult {
             index,
             name: corpus[index].name.clone(),
             outcome,
         });
-        latencies.push(latency);
+        latencies.push(slot.wall);
     }
     let elapsed = started.elapsed();
     for metrics in &mut worker_metrics {
@@ -700,7 +634,7 @@ pub fn run_fleet(corpus: &[FleetItem], opts: &FleetOptions) -> FleetReport {
         results,
         latencies,
         workers,
-        worker_jobs,
+        worker_jobs: worker_metrics.iter().map(|m| m.jobs).collect(),
         worker_metrics,
         elapsed,
     }

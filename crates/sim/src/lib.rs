@@ -33,9 +33,9 @@
 //!   recovers within a bounded window.
 //! * [`fleet`] — fleet-scale batch analysis: [`run_fleet`] executes a
 //!   per-graph job (validate, minimize, or the VRDF-vs-SDF baseline
-//!   table) for every graph of a corpus over a shared worker pool, with
-//!   a deterministic sharded merge so results are bit-identical for any
-//!   worker count.
+//!   table) for every graph of a corpus on the crate's one worker pool
+//!   (the one the scenario battery fans out on), with a deterministic
+//!   merge by index so results are bit-identical for any worker count.
 //! * [`telemetry`] — zero-overhead observability: engine counters, phase
 //!   spans, latency histograms, and the Chrome-trace/Perfetto exporter.
 //!   Compiled in but gated exactly like [`faults`]; a
@@ -73,6 +73,7 @@ pub mod engine;
 pub mod faults;
 pub mod fleet;
 pub mod policy;
+mod pool;
 pub mod reference;
 pub mod search;
 pub mod telemetry;

@@ -6,13 +6,15 @@
 //! computes to 882 but 881 survives every scenario under exact-handoff
 //! semantics).  [`minimize_capacities`] measures that gap edge by edge:
 //! starting from the Eq. (4) assignment it binary-searches, per edge, the
-//! smallest capacity that still survives the full scenario battery, then
+//! smallest capacity that still survives every scenario of the battery, then
 //! runs coordinate-descent passes over all edges until a fixed point.
 //!
-//! Every probe replays the full battery on one shared [`ScenarioRunner`]
-//! — the same parallel scenario runner the oracle uses, with
-//! [`ValidationOptions::stop_on_violation`] forced on so infeasible
-//! probes are rejected at their first deadline miss.  The runner's
+//! Every probe is a [`ScenarioRunner::probe`] on one shared runner — the
+//! same parallel scenario runner the oracle uses, but fail-fast: the
+//! battery stops at its first failing scenario and the scenarios above
+//! it are cancelled ([`MinimizationReport::scenarios_cancelled`]), and
+//! [`ValidationOptions::stop_on_violation`] is forced on so that
+//! scenario itself ends at its first deadline miss.  The runner's
 //! [`SimPlan`](crate::SimPlan) is built once for the whole search and
 //! each probe only swaps capacity overrides and resets the reusable
 //! arenas, so the thousands of probes a search spends pay no per-probe
@@ -26,7 +28,7 @@
 //! battery (scenario set, endpoint firings, offset): a capacity is
 //! "minimal" when one container less fails at least one battery scenario.
 //! Verdicts are thread-count-invariant because the underlying
-//! [`ValidationReport`] is.
+//! [`ValidationReport`](crate::ValidationReport) is.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -34,7 +36,7 @@ use std::time::{Duration, Instant};
 use vrdf_core::{BufferId, GraphAnalysis, Rational, TaskGraph};
 
 use crate::telemetry::SearchMetrics;
-use crate::validate::{conservative_offset, ScenarioRunner, ValidationOptions, ValidationReport};
+use crate::validate::{conservative_offset, ScenarioRunner, ValidationOptions};
 use crate::SimError;
 
 /// A watchdog budget for [`minimize_capacities`]: the search stops
@@ -160,6 +162,12 @@ pub struct MinimizationReport {
     /// every probe, baseline included.  A skipped scenario fails its
     /// probe, so skips silently inflate the reported minima.
     pub scenarios_skipped: u64,
+    /// Scenarios never run across every probe, baseline included,
+    /// because a lower-index scenario of the same probe had already
+    /// failed ([`crate::ValidationReport::cancelled`]) — the work the
+    /// fail-fast probe saved.  Unlike a skip, a cancellation never
+    /// changes a verdict.
+    pub scenarios_cancelled: u64,
     /// `false` when the [`SearchBudget`] expired before every searched
     /// edge was confirmed minimal; the affected edges carry
     /// [`EdgeMinimum::incomplete`].
@@ -250,31 +258,87 @@ impl fmt::Display for MinimizationReport {
     }
 }
 
-/// Builds the probe battery for a search: one [`ScenarioRunner`] over the
-/// Eq. (4)-sized graph, with `stop_on_violation` forced on.  Every probe
-/// is a [`ScenarioRunner::validate`] call with the candidate capacities
-/// as overrides — a reset of the runner's arenas, not a rebuild.
-/// Folds one probe's battery telemetry (counters, phase spans) and wall
-/// time into the search-level metrics.  `plan_build` is paid once for
-/// the whole search (every probe shares one runner), so it is kept at
-/// its maximum rather than summed across probes.
-fn record_probe(
-    metrics: &mut Option<SearchMetrics>,
-    report: &ValidationReport,
-    begin: Option<Instant>,
-) {
-    if let (Some(m), Some(begin)) = (metrics.as_mut(), begin) {
-        if let Some(vm) = &report.metrics {
-            m.counters.merge(&vm.counters);
-            m.phases.reset += vm.phases.reset;
-            m.phases.run += vm.phases.run;
-            m.phases.merge += vm.phases.merge;
-            m.phases.plan_build = m.phases.plan_build.max(vm.phases.plan_build);
+/// The probe accounting of one search.  Battery-health counters are
+/// collected unconditionally (a couple of integer adds per probe, not
+/// telemetry): a breach or a watchdog skip quietly poisons the minima,
+/// so the report always carries the counts.
+#[derive(Default)]
+struct Tally {
+    probes: u32,
+    probes_passed: u32,
+    events: u64,
+    occupancy_breaches: u64,
+    scenarios_skipped: u64,
+    scenarios_cancelled: u64,
+    metrics: Option<SearchMetrics>,
+}
+
+impl Tally {
+    /// Probes one candidate assignment and folds the report into the
+    /// tally; returns whether the battery came back all-clear.
+    /// `plan_build` is paid once for the whole search (every probe shares
+    /// one runner), so it is kept at its maximum rather than summed.
+    fn probe(
+        &mut self,
+        runner: &mut ScenarioRunner<'_>,
+        capacities: &[(BufferId, u64)],
+    ) -> Result<bool, SimError> {
+        let begin = self.metrics.is_some().then(Instant::now);
+        let report = runner.probe(capacities)?;
+        let pass = report.all_clear();
+        self.probes += 1;
+        self.probes_passed += u32::from(pass);
+        self.events += report.events();
+        self.occupancy_breaches += report.occupancy_breach_count();
+        self.scenarios_skipped += report.skipped.len() as u64;
+        self.scenarios_cancelled += report.cancelled.len() as u64;
+        if let (Some(m), Some(begin)) = (self.metrics.as_mut(), begin) {
+            if let Some(vm) = &report.metrics {
+                m.counters.merge(&vm.counters);
+                m.phases.reset += vm.phases.reset;
+                m.phases.run += vm.phases.run;
+                m.phases.merge += vm.phases.merge;
+                m.phases.plan_build = m.phases.plan_build.max(vm.phases.plan_build);
+            }
+            let latency = begin.elapsed();
+            m.probe_latency.record(latency);
+            if !pass {
+                m.failed_probe_latency.record(latency);
+            }
         }
-        m.probe_latency.record(begin.elapsed());
+        Ok(pass)
+    }
+
+    /// The report of a search that ends with this tally.
+    fn into_report(
+        self,
+        offset: Rational,
+        baseline_clear: bool,
+        edges: Vec<EdgeMinimum>,
+        passes: u32,
+        complete: bool,
+    ) -> MinimizationReport {
+        MinimizationReport {
+            offset,
+            baseline_clear,
+            edges,
+            passes,
+            probes: self.probes,
+            probes_passed: self.probes_passed,
+            events: self.events,
+            occupancy_breaches: self.occupancy_breaches,
+            scenarios_skipped: self.scenarios_skipped,
+            scenarios_cancelled: self.scenarios_cancelled,
+            complete,
+            metrics: self.metrics,
+        }
     }
 }
 
+/// Builds the probe battery for a search: one [`ScenarioRunner`] over the
+/// Eq. (4)-sized graph, with `stop_on_violation` forced on.  Every probe
+/// is a [`ScenarioRunner::probe`] call with the candidate capacities as
+/// overrides — a reset of the runner's arenas, not a rebuild.
 fn probe_runner<'g>(
     sized: &'g TaskGraph,
     analysis: &GraphAnalysis,
@@ -346,14 +410,10 @@ pub fn minimize_capacities(
     // and rebuilding the engine.
     let sized = analysis.with_capacities(tg, &[]);
     let mut runner = probe_runner(&sized, analysis, offset, opts)?;
-    let mut events = 0u64;
-    // Battery-health counters are collected unconditionally (they are a
-    // couple of integer adds per probe, not telemetry): a breach or a
-    // watchdog skip quietly poisons the minima, so the report always
-    // carries the counts.
-    let mut occupancy_breaches = 0u64;
-    let mut scenarios_skipped = 0u64;
-    let mut metrics = opts.validation.telemetry.then(SearchMetrics::default);
+    let mut tally = Tally {
+        metrics: opts.validation.telemetry.then(SearchMetrics::default),
+        ..Tally::default()
+    };
 
     // Working assignment, one slot per edge in the analysis' order; the
     // warm start (a previous partial search's best validated values)
@@ -401,15 +461,9 @@ pub fn minimize_capacities(
             .map_or(true, |allow| allow.contains(&buffer))
     };
 
-    // `Cell` so the budget check can read the probe count while the
-    // probe closure below holds it for incrementing.
-    let probes = std::cell::Cell::new(1u32);
-    let mut probes_passed = 0u32;
     let started = Instant::now();
-    let out_of_budget = || {
-        opts.budget
-            .max_probes
-            .is_some_and(|cap| probes.get() >= cap)
+    let out_of_budget = |probes: u32| {
+        opts.budget.max_probes.is_some_and(|cap| probes >= cap)
             || opts
                 .budget
                 .wall_clock
@@ -418,29 +472,10 @@ pub fn minimize_capacities(
 
     // The Eq. (4) baseline (plus warm start) must hold, or "smaller still
     // passes" verdicts would be meaningless.
-    let probe_begin = metrics.is_some().then(Instant::now);
-    let baseline = runner.validate(&current)?;
-    record_probe(&mut metrics, &baseline, probe_begin);
-    events += baseline.events();
-    occupancy_breaches += baseline.occupancy_breach_count();
-    scenarios_skipped += baseline.skipped.len() as u64;
-    let baseline_clear = baseline.all_clear();
+    let baseline_clear = tally.probe(&mut runner, &current)?;
     if !baseline_clear {
-        return Ok(MinimizationReport {
-            offset,
-            baseline_clear,
-            edges,
-            passes: 0,
-            probes: probes.get(),
-            probes_passed,
-            events,
-            occupancy_breaches,
-            scenarios_skipped,
-            complete: true,
-            metrics,
-        });
+        return Ok(tally.into_report(offset, baseline_clear, edges, 0, true));
     }
-    probes_passed += 1;
     // The warm-started assignment is now validated: report it as the
     // per-edge best until the search improves on it.
     for (slot, edge) in current.iter().zip(edges.iter_mut()) {
@@ -473,29 +508,17 @@ pub fn minimize_capacities(
                 confirmed[i] = true;
                 continue;
             }
-            if out_of_budget() {
+            if out_of_budget(tally.probes) {
                 complete = false;
                 break 'passes;
             }
-            let mut try_at =
-                |cap: u64, current: &mut Vec<(BufferId, u64)>, runner: &mut ScenarioRunner<'_>| {
-                    current[i].1 = cap;
-                    let probe_begin = metrics.is_some().then(Instant::now);
-                    let report = runner.validate(current)?;
-                    record_probe(&mut metrics, &report, probe_begin);
-                    events += report.events();
-                    occupancy_breaches += report.occupancy_breach_count();
-                    scenarios_skipped += report.skipped.len() as u64;
-                    edges[i].probes += 1;
-                    probes.set(probes.get() + 1);
-                    let pass = report.all_clear();
-                    if pass {
-                        probes_passed += 1;
-                    }
-                    Ok::<bool, SimError>(pass)
-                };
+            let mut try_at = |cap: u64, current: &mut Vec<(BufferId, u64)>, tally: &mut Tally| {
+                current[i].1 = cap;
+                edges[i].probes += 1;
+                tally.probe(&mut runner, current)
+            };
             let mut known_good = known_good;
-            if !try_at(known_good - 1, &mut current, &mut runner)? {
+            if !try_at(known_good - 1, &mut current, &mut tally)? {
                 current[i].1 = known_good;
                 confirmed[i] = true;
                 continue;
@@ -507,7 +530,7 @@ pub fn minimize_capacities(
             // the edge is confirmed minimal.
             let mut lo = floor;
             while lo < known_good {
-                if out_of_budget() {
+                if out_of_budget(tally.probes) {
                     // `known_good` is validated — keep it as the best
                     // bound and stop; the edge stays unconfirmed.
                     complete = false;
@@ -516,7 +539,7 @@ pub fn minimize_capacities(
                     break 'passes;
                 }
                 let mid = lo + (known_good - lo) / 2;
-                if try_at(mid, &mut current, &mut runner)? {
+                if try_at(mid, &mut current, &mut tally)? {
                     known_good = mid;
                 } else {
                     lo = mid + 1;
@@ -535,19 +558,7 @@ pub fn minimize_capacities(
     for (i, edge) in edges.iter_mut().enumerate() {
         edge.incomplete = !complete && searchable(edge.buffer) && !confirmed[i];
     }
-    Ok(MinimizationReport {
-        offset,
-        baseline_clear,
-        edges,
-        passes,
-        probes: probes.get(),
-        probes_passed,
-        events,
-        occupancy_breaches,
-        scenarios_skipped,
-        complete,
-        metrics,
-    })
+    Ok(tally.into_report(offset, baseline_clear, edges, passes, complete))
 }
 
 #[cfg(test)]
@@ -674,8 +685,15 @@ mod tests {
         let report = minimize_capacities(&tg, &analysis, &opts).unwrap();
         let metrics = report.metrics.as_ref().expect("telemetry enabled");
         assert_eq!(metrics.probe_latency.count(), u64::from(report.probes));
+        assert_eq!(
+            metrics.failed_probe_latency.count(),
+            u64::from(report.probes - report.probes_passed)
+        );
         assert_eq!(metrics.counters.events_popped, report.events);
-        assert!(metrics.snapshot().to_string().contains("probe latency"));
+        assert!(metrics
+            .snapshot()
+            .to_string()
+            .contains("failed probe latency p50"));
         // The instrumented search lands on the same minima.
         assert_eq!(report.edges, plain.edges);
         assert_eq!(report.probes, plain.probes);

@@ -334,6 +334,9 @@ pub struct SearchMetrics {
     pub phases: PhaseTimes,
     /// Wall-clock latency of each probe (baseline validation included).
     pub probe_latency: Histogram,
+    /// Wall-clock latency of each probe whose battery failed — the
+    /// subset of `probe_latency` that a fail-fast probe cuts short.
+    pub failed_probe_latency: Histogram,
 }
 
 impl SearchMetrics {
@@ -343,6 +346,7 @@ impl SearchMetrics {
         snap.push_counters(&self.counters);
         snap.push_phases(&self.phases);
         snap.push_histogram("probe latency", &self.probe_latency);
+        snap.push_histogram("failed probe latency", &self.failed_probe_latency);
         snap
     }
 }
@@ -404,8 +408,11 @@ impl MetricsSnapshot {
         if let Some(mean) = h.mean() {
             self.push(&format!("{label} mean"), format_duration(mean));
         }
-        if let (Some(min), Some(p95), Some(max)) = (h.min(), h.p95(), h.max()) {
+        if let (Some(min), Some(p50), Some(p95), Some(max)) =
+            (h.min(), h.percentile(50.0), h.p95(), h.max())
+        {
             self.push(&format!("{label} min"), format_duration(min));
+            self.push(&format!("{label} p50 ≤"), format_duration(p50));
             self.push(&format!("{label} p95 ≤"), format_duration(p95));
             self.push(&format!("{label} max"), format_duration(max));
         }

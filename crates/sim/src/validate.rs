@@ -10,16 +10,20 @@
 //! scenario may ever produce a deadline miss or deadlock; a violation in
 //! any scenario is a counterexample to the analysis.
 //!
-//! Scenarios are independent simulations, so the battery fans out over a
-//! scoped thread pool ([`ValidationOptions::threads`]); results are
-//! merged back in scenario order, making the report bit-identical for
-//! every thread count.
+//! Scenarios are independent simulations, so the battery fans out over
+//! the crate's worker pool ([`ValidationOptions::threads`]): workers
+//! claim scenarios in index order, and results are merged back in
+//! scenario order, making the report bit-identical for every thread
+//! count.
 //!
 //! The battery itself is a reusable [`ScenarioRunner`]: one [`SimPlan`]
 //! per graph, one [`SimState`] per worker thread, and per-buffer capacity
-//! overrides per [`ScenarioRunner::validate`] call — so a capacity search
-//! probing thousands of assignments pays graph validation, the tick
-//! rescale, and arena allocation once, not once per probe.
+//! overrides per call — so a capacity search probing thousands of
+//! assignments pays graph validation, the tick rescale, and arena
+//! allocation once, not once per probe.  [`ScenarioRunner::validate`]
+//! runs every scenario and reports every failure;
+//! [`ScenarioRunner::probe`], the search's verdict-only call, stops at
+//! the first failing scenario and cancels the rest.
 //!
 //! The periodic offset is chosen *conservatively* from the analysis
 //! ([`conservative_offset`]): by linearity of VRDF, shifting the whole
@@ -50,7 +54,6 @@
 //!   is marked incomplete rather than blocking forever.
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use vrdf_core::{
@@ -63,6 +66,7 @@ use crate::engine::{
 };
 use crate::faults::FaultPlan;
 use crate::policy::{QuantumPlan, QuantumPolicy};
+use crate::pool::{self, Outcome};
 use crate::reference::ReferenceSimulator;
 use crate::telemetry::{Telemetry, ValidationMetrics};
 use crate::SimError;
@@ -248,6 +252,10 @@ pub struct ValidationReport {
     pub panics: Vec<WorkerPanic>,
     /// Scenarios skipped by the wall-clock watchdog, in battery order.
     pub skipped: Vec<String>,
+    /// Scenarios a [`ScenarioRunner::probe`] never ran because a
+    /// lower-index scenario failed first, in battery order.  Always
+    /// empty for [`ScenarioRunner::validate`].
+    pub cancelled: Vec<String>,
     /// Which engine executed the battery.
     pub engine: EngineKind,
     /// Aggregated battery telemetry, `Some` iff
@@ -266,9 +274,9 @@ impl ValidationReport {
     }
 
     /// `true` when every scenario actually ran: nothing panicked, nothing
-    /// was skipped by the watchdog.
+    /// was skipped by the watchdog, nothing was cancelled by a probe.
     pub fn complete(&self) -> bool {
-        self.panics.is_empty() && self.skipped.is_empty()
+        self.panics.is_empty() && self.skipped.is_empty() && self.cancelled.is_empty()
     }
 
     /// The scenarios that failed, with their first violation or outcome.
@@ -325,6 +333,9 @@ impl fmt::Display for ValidationReport {
         }
         for name in &self.skipped {
             writeln!(f, "  {:<12} skipped (wall-clock budget)", name)?;
+        }
+        for name in &self.cancelled {
+            writeln!(f, "  {:<12} cancelled (an earlier scenario failed)", name)?;
         }
         if self.engine == EngineKind::Reference {
             writeln!(
@@ -519,16 +530,18 @@ pub fn effective_threads(cap: usize, n: usize) -> usize {
 /// Construction pays the per-graph work exactly once: the [`SimPlan`]
 /// (DAG validation, tick rescale, flattened adjacency), the scenario
 /// list, and one [`SimState`] arena per worker thread.  Every
-/// [`validate`](ScenarioRunner::validate) call then replays the full
-/// battery — optionally with per-buffer capacity overrides — by
-/// resetting those arenas in place.  This is the probe path of
+/// [`validate`](ScenarioRunner::validate) or
+/// [`probe`](ScenarioRunner::probe) call then replays the battery —
+/// optionally with per-buffer capacity overrides — by resetting those
+/// arenas in place.  `probe` is the path of
 /// [`crate::minimize_capacities`], which runs thousands of batteries per
 /// search; it pays neither a graph clone nor an engine rebuild per
 /// probe.
 ///
-/// The battery fans out over a scoped thread pool (worker `w` takes
-/// scenarios `w, w + threads, …`) and the merge re-sorts by scenario
-/// index, so the report is bit-identical for every thread count.
+/// The battery fans out over the crate's worker pool: each worker claims
+/// the next unstarted scenario index from a shared counter, and the
+/// merge puts every result back at its scenario index, so the report is
+/// bit-identical for every thread count.
 pub struct ScenarioRunner<'a> {
     engine: RunnerEngine<'a>,
     scenarios: Vec<(String, QuantumPlan)>,
@@ -554,102 +567,6 @@ enum RunnerEngine<'a> {
         tg: &'a TaskGraph,
         config: SimConfig,
     },
-}
-
-/// What became of one scheduled scenario.  `Done` carries the scenario's
-/// wall time (zero unless telemetry is enabled), kept outside
-/// [`ScenarioResult`] so timing never leaks into compared fields.
-// A handful of instances per battery: not worth boxing.
-#[allow(clippy::large_enum_variant)]
-enum RunOutcome {
-    Done(ScenarioResult, Duration),
-    Failed(SimError),
-    Panicked(WorkerPanic),
-    Skipped(String),
-}
-
-/// `true` once the battery's wall-clock deadline has passed.
-fn past(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d)
-}
-
-/// Renders a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// Runs one scenario on the tick engine, isolating panics.  A panicked
-/// run may leave the arena mid-state, which is safe: the next reset
-/// rewrites it entirely.
-fn run_tick_scenario(
-    plan: &SimPlan<'_>,
-    state: &mut SimState,
-    name: &str,
-    quanta: &QuantumPlan,
-    capacities: &[(BufferId, u64)],
-    chaos: Option<&str>,
-    timed: bool,
-) -> RunOutcome {
-    let begin = timed.then(Instant::now);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if chaos == Some(name) {
-            panic!("deliberate chaos panic before scenario `{name}`");
-        }
-        plan.run_with_capacities(state, quanta, capacities)
-    }));
-    match result {
-        Ok(Ok(report)) => RunOutcome::Done(
-            ScenarioResult::from_report(name.to_owned(), report),
-            begin.map_or(Duration::ZERO, |b| b.elapsed()),
-        ),
-        Ok(Err(e)) => RunOutcome::Failed(e),
-        Err(payload) => RunOutcome::Panicked(WorkerPanic {
-            scenario: name.to_owned(),
-            message: panic_message(payload),
-        }),
-    }
-}
-
-/// Runs one scenario on the rational-time reference engine (the degraded
-/// path: a fresh simulator per scenario), isolating panics.
-fn run_reference_scenario(
-    tg: &TaskGraph,
-    config: &SimConfig,
-    name: &str,
-    quanta: &QuantumPlan,
-    chaos: Option<&str>,
-    timed: bool,
-) -> RunOutcome {
-    let begin = timed.then(Instant::now);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if chaos == Some(name) {
-            panic!("deliberate chaos panic before scenario `{name}`");
-        }
-        ReferenceSimulator::new(tg, quanta.clone(), config.clone()).map(|sim| {
-            if timed {
-                sim.with_telemetry().run()
-            } else {
-                sim.run()
-            }
-        })
-    }));
-    match result {
-        Ok(Ok(report)) => RunOutcome::Done(
-            ScenarioResult::from_report(name.to_owned(), report),
-            begin.map_or(Duration::ZERO, |b| b.elapsed()),
-        ),
-        Ok(Err(e)) => RunOutcome::Failed(e),
-        Err(payload) => RunOutcome::Panicked(WorkerPanic {
-            scenario: name.to_owned(),
-            message: panic_message(payload),
-        }),
-    }
 }
 
 impl<'a> ScenarioRunner<'a> {
@@ -759,6 +676,7 @@ impl<'a> ScenarioRunner<'a> {
 
     /// Replays the whole battery, with per-buffer capacity overrides
     /// applied on top of the graph's assignments for every scenario.
+    /// Every scenario runs, so the report lists every failure.
     ///
     /// # Errors
     ///
@@ -771,77 +689,62 @@ impl<'a> ScenarioRunner<'a> {
         &mut self,
         capacities: &[(BufferId, u64)],
     ) -> Result<ValidationReport, SimError> {
+        self.run(capacities, false)
+    }
+
+    /// Replays the battery like [`validate`](ScenarioRunner::validate),
+    /// but stops at the lowest-index scenario that fails — a violation,
+    /// a deadlock, an occupancy breach, a [`SimError`], a panic, or a
+    /// watchdog skip.  The scenarios above it are never started (or,
+    /// when they were already in flight on another worker, their
+    /// outcomes are dropped) and are listed in
+    /// [`ValidationReport::cancelled`], so the report is identical at
+    /// every thread count.  This is the probe of
+    /// [`crate::minimize_capacities`], which needs only the verdict:
+    /// [`all_clear`](ValidationReport::all_clear) and the first failure
+    /// always agree with `validate`'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`validate`](ScenarioRunner::validate), for a [`SimError`] at
+    /// the scenario the probe stopped at.
+    pub fn probe(&mut self, capacities: &[(BufferId, u64)]) -> Result<ValidationReport, SimError> {
+        self.run(capacities, true)
+    }
+
+    fn run(
+        &mut self,
+        capacities: &[(BufferId, u64)],
+        fail_fast: bool,
+    ) -> Result<ValidationReport, SimError> {
+        let engine = self.engine();
         let scenarios = &self.scenarios;
         let deadline = self.wall_clock.map(|budget| Instant::now() + budget);
         let chaos = self.chaos_panic_scenario.as_deref();
-        let threads = self.threads;
         let timed = self.telemetry.is_enabled();
-        let engine = match &self.engine {
-            RunnerEngine::Tick { .. } => EngineKind::Tick,
-            RunnerEngine::Reference { .. } => EngineKind::Reference,
+        let fails = fail_fast.then_some(fails_battery as fn(&_) -> bool);
+        // Scenario `i`, after the chaos hook had its chance to panic.
+        let scenario = |i: usize| {
+            let (name, quanta) = &scenarios[i];
+            if chaos == Some(name.as_str()) {
+                panic!("deliberate chaos panic before scenario `{name}`");
+            }
+            (name, quanta)
         };
 
-        let outcomes: Vec<RunOutcome> = match &mut self.engine {
-            RunnerEngine::Tick { plan, states } if threads <= 1 => {
-                let plan = &*plan;
-                let state = &mut states[0];
-                scenarios
-                    .iter()
-                    .map(|(name, quanta)| {
-                        if past(deadline) {
-                            RunOutcome::Skipped(name.clone())
-                        } else {
-                            run_tick_scenario(plan, state, name, quanta, capacities, chaos, timed)
-                        }
-                    })
-                    .collect()
-            }
+        let slots = match &mut self.engine {
             RunnerEngine::Tick { plan, states } => {
-                // Strided fan-out: worker `w` takes scenarios w,
-                // w+threads, … on its own arena.  Each returns (index,
-                // outcome) pairs and the merge re-sorts by index, so the
-                // report is identical for every thread count.
                 let plan = &*plan;
-                let mut indexed: Vec<(usize, RunOutcome)> = std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(threads);
-                    for (worker, state) in states.iter_mut().enumerate() {
-                        handles.push(scope.spawn(move || {
-                            scenarios
-                                .iter()
-                                .enumerate()
-                                .skip(worker)
-                                .step_by(threads)
-                                .map(|(i, (name, quanta))| {
-                                    let outcome = if past(deadline) {
-                                        RunOutcome::Skipped(name.clone())
-                                    } else {
-                                        run_tick_scenario(
-                                            plan, state, name, quanta, capacities, chaos, timed,
-                                        )
-                                    };
-                                    (i, outcome)
-                                })
-                                .collect::<Vec<_>>()
-                        }));
-                    }
-                    let mut collected = Vec::with_capacity(scenarios.len());
-                    for h in handles {
-                        // Worker bodies isolate every scenario with
-                        // catch_unwind, so a join failure means the panic
-                        // machinery itself failed — not recoverable.
-                        #[allow(clippy::expect_used)]
-                        let items = h.join().expect("scenario worker died outside catch_unwind");
-                        collected.extend(items);
-                    }
-                    collected
-                });
-                indexed.sort_by_key(|(i, _)| *i);
-                indexed.into_iter().map(|(_, o)| o).collect()
+                pool::run(states, scenarios.len(), deadline, fails, |state, i| {
+                    let (name, quanta) = scenario(i);
+                    plan.run_with_capacities(state, quanta, capacities)
+                        .map(|report| ScenarioResult::from_report(name.clone(), report))
+                })
             }
             RunnerEngine::Reference { tg, config } => {
                 // The degraded path runs sequentially; overrides are
-                // applied on one clone per validate call because the
-                // reference engine reads capacities from the graph.
+                // applied on one clone per call because the reference
+                // engine reads capacities from the graph.
                 let overridden;
                 let graph: &TaskGraph = if capacities.is_empty() {
                     tg
@@ -853,16 +756,16 @@ impl<'a> ScenarioRunner<'a> {
                     overridden = g;
                     &overridden
                 };
-                scenarios
-                    .iter()
-                    .map(|(name, quanta)| {
-                        if past(deadline) {
-                            RunOutcome::Skipped(name.clone())
-                        } else {
-                            run_reference_scenario(graph, config, name, quanta, chaos, timed)
-                        }
-                    })
-                    .collect()
+                pool::run(&mut [()], scenarios.len(), deadline, fails, |_, i| {
+                    let (name, quanta) = scenario(i);
+                    let sim = ReferenceSimulator::new(graph, quanta.clone(), config.clone())?;
+                    let report = if timed {
+                        sim.with_telemetry().run()
+                    } else {
+                        sim.run()
+                    };
+                    Ok(ScenarioResult::from_report(name.clone(), report))
+                })
             }
         };
 
@@ -870,11 +773,12 @@ impl<'a> ScenarioRunner<'a> {
         let mut results = Vec::new();
         let mut panics = Vec::new();
         let mut skipped = Vec::new();
+        let mut cancelled = Vec::new();
         let mut first_error = None;
         let mut metrics = timed.then(ValidationMetrics::default);
-        for outcome in outcomes {
-            match outcome {
-                RunOutcome::Done(r, wall) => {
+        for ((name, _), slot) in scenarios.iter().zip(slots) {
+            match slot.outcome {
+                Outcome::Done(Ok(r)) => {
                     if let Some(m) = &mut metrics {
                         if let Some(counters) = &r.report.counters {
                             m.counters.merge(counters);
@@ -882,15 +786,19 @@ impl<'a> ScenarioRunner<'a> {
                         if let Some(spans) = &r.report.spans {
                             m.phases.merge_from(spans);
                         }
-                        m.scenario_wall.push((r.name.clone(), wall));
+                        m.scenario_wall.push((r.name.clone(), slot.wall));
                     }
                     results.push(r);
                 }
-                RunOutcome::Failed(e) => {
+                Outcome::Done(Err(e)) => {
                     let _ = first_error.get_or_insert(e);
                 }
-                RunOutcome::Panicked(p) => panics.push(p),
-                RunOutcome::Skipped(name) => skipped.push(name),
+                Outcome::Panicked(message) => panics.push(WorkerPanic {
+                    scenario: name.clone(),
+                    message,
+                }),
+                Outcome::Skipped => skipped.push(name.clone()),
+                Outcome::Cancelled => cancelled.push(name.clone()),
             }
         }
         if let Some(e) = first_error {
@@ -905,10 +813,17 @@ impl<'a> ScenarioRunner<'a> {
             scenarios: results,
             panics,
             skipped,
+            cancelled,
             engine,
             metrics,
         })
     }
+}
+
+/// `true` when a scenario run fails its battery: an error, or a
+/// scenario that did not pass.
+fn fails_battery(run: &Result<ScenarioResult, SimError>) -> bool {
+    !run.as_ref().is_ok_and(ScenarioResult::passed)
 }
 
 fn validate_graph(
@@ -1036,6 +951,7 @@ mod tests {
             scenarios: vec![broken],
             panics: Vec::new(),
             skipped: Vec::new(),
+            cancelled: Vec::new(),
             engine: EngineKind::Tick,
             metrics: None,
         };

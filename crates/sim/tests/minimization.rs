@@ -105,8 +105,8 @@ fn feedback_edge_search_floors_at_its_initial_tokens() {
 #[test]
 fn minimization_verdict_is_thread_count_invariant() {
     // Scenarios are independent simulations and the merge is ordered, so
-    // the entire search — minima, probe counts, pass count — must be
-    // bit-identical between a sequential battery (threads = 1) and the
+    // the entire search — minima, probe counts, pass count, and the
+    // events the fail-fast probes spent — must be bit-identical between a sequential battery (threads = 1) and the
     // machine-sized pool (threads = 0).
     let tg = mp3_chain();
     let analysis = compute_buffer_capacities(&tg, mp3_constraint()).unwrap();
@@ -119,5 +119,7 @@ fn minimization_verdict_is_thread_count_invariant() {
     assert_eq!(sequential.probes, parallel.probes);
     assert_eq!(sequential.probes_passed, parallel.probes_passed);
     assert_eq!(sequential.passes, parallel.passes);
+    assert_eq!(sequential.events, parallel.events);
+    assert_eq!(sequential.scenarios_cancelled, parallel.scenarios_cancelled);
     assert!(sequential.baseline_clear, "{sequential}");
 }
