@@ -8,41 +8,33 @@
 //! $ cargo run --release -p vrdf-apps --bin baseline
 //! $ cargo run --release -p vrdf-apps --bin baseline -- --graph fork-join
 //! $ cargo run --release -p vrdf-apps --bin baseline -- --minimize
-//! $ cargo run --release -p vrdf-apps --bin baseline -- --batch 64 --jobs 4
 //! ```
 //!
 //! `--minimize` additionally searches the operational SDF floor (minimal
 //! per-channel capacities whose self-timed steady state still meets the
-//! throughput constraint).  `--batch N` switches to fleet mode: the
-//! VRDF-vs-SDF table is computed for every graph of an N-graph synthetic
-//! corpus on a shared worker pool (`--jobs` workers; `--threads` is an
-//! alias, kept so all drivers share the same flag surface).
+//! throughput constraint).  The same table over a synthetic corpus is
+//! `fleet --job baseline`.
 //!
-//! `--metrics` prints the state-space executor's telemetry counters
-//! (per-worker pool metrics in fleet mode) to stderr, and
-//! `--trace-out PATH` writes a Perfetto-loadable Chrome trace of one
-//! instrumented tick-engine run of the graph.  Both are gated: without
-//! the flags the executor runs the uninstrumented hot path.
+//! `--metrics` prints the state-space executor's telemetry counters to
+//! stderr, and `--trace-out PATH` writes a Perfetto-loadable Chrome
+//! trace of one instrumented tick-engine run of the graph.  Both are
+//! gated: without the flags the executor runs with telemetry off.
 //!
 //! Exits non-zero when a case study with published capacities does not
 //! reproduce them, or when the sized lowering fails its own steady-state
-//! check, or in fleet mode when any graph's table fails to compute.
+//! check.
 
-use vrdf_apps::{case_study, cli, fleet_corpus, CASE_STUDY_NAMES};
+use vrdf_apps::{case_study, cli, CASE_STUDY_NAMES};
 use vrdf_core::compute_buffer_capacities;
 use vrdf_sdf::{
     analyze, baseline_capacities, minimize_sdf_capacities, steady_state, CsdfGraph, ExecOptions,
     ExecOutcome, SdfSearchOptions,
 };
-use vrdf_sim::{run_fleet, FleetJob, FleetOptions};
 
 fn main() {
     let mut graph = "mp3".to_owned();
     let mut minimize = false;
     let mut exec = ExecOptions::default();
-    let mut batch = 0usize;
-    let mut jobs = 0usize;
-    let mut seed = 1u64;
     let mut metrics = false;
     let mut trace_out: Option<std::path::PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -51,10 +43,6 @@ fn main() {
             "--graph" => graph = cli::parse(args.next(), "--graph"),
             "--minimize" => minimize = true,
             "--max-events" => exec.max_events = cli::parse(args.next(), "--max-events"),
-            "--batch" => batch = cli::parse(args.next(), "--batch"),
-            "--jobs" => jobs = cli::parse(args.next(), "--jobs"),
-            "--threads" => jobs = cli::parse(args.next(), "--threads"),
-            "--seed" => seed = cli::parse(args.next(), "--seed"),
             "--metrics" => metrics = true,
             "--trace-out" => {
                 trace_out = Some(cli::parse::<String>(args.next(), "--trace-out").into())
@@ -63,7 +51,6 @@ fn main() {
                 other,
                 &format!(
                     "usage: baseline [--graph {}] [--minimize] [--max-events N] \
-                     [--batch N] [--jobs W] [--threads W] [--seed S] \
                      [--metrics] [--trace-out PATH]",
                     CASE_STUDY_NAMES.join("|")
                 ),
@@ -71,32 +58,6 @@ fn main() {
         }
     }
     exec.telemetry = metrics;
-
-    if batch > 0 {
-        let fleet = FleetOptions {
-            job: FleetJob::Baseline,
-            workers: jobs,
-            ..FleetOptions::default()
-        };
-        let corpus = fleet_corpus(seed, batch).unwrap_or_else(|e| {
-            eprintln!("error: corpus generation failed: {e}");
-            std::process::exit(1);
-        });
-        if let Some(path) = &trace_out {
-            let first = &corpus[0];
-            vrdf_apps::write_trace(path, &first.graph, first.constraint, 2_000);
-        }
-        let report = run_fleet(&corpus, &fleet);
-        print!("{report}");
-        if metrics {
-            vrdf_apps::print_fleet_metrics(&report);
-        }
-        if !report.all_ok() {
-            eprintln!("error: not every graph's baseline table computed");
-            std::process::exit(1);
-        }
-        return;
-    }
 
     let Some(study) = case_study(&graph) else {
         eprintln!(

@@ -26,9 +26,8 @@
 use vrdf_apps::{case_study, cli, CASE_STUDY_NAMES};
 use vrdf_core::{compute_buffer_capacities, Rational};
 use vrdf_sim::{
-    conservative_offset, validate_assigned_capacities_under_faults, validate_capacities,
-    validate_capacities_under_faults, FaultPlan, FaultValidationOptions, FaultValidationReport,
-    ValidationOptions,
+    validate_capacities, validate_capacities_under_faults, FaultPlan, FaultValidationOptions,
+    FaultValidationReport, ValidationOptions,
 };
 
 fn print_battery(header: &str, report: &FaultValidationReport) {
@@ -144,7 +143,7 @@ fn main() {
         study.label, opts.recovery_firings
     );
 
-    let exact = validate_capacities_under_faults(&study.graph, &analysis, &faults, &opts)
+    let exact = validate_capacities_under_faults(&study.graph, &analysis, &[], &faults, &opts)
         .expect("the fault battery constructs");
     print_battery("\nexact Eq. (4) capacities:", &exact);
 
@@ -159,14 +158,10 @@ fn main() {
         .expect("d3 is analysed")
         .capacity
         + headroom;
-    let padded = analysis.with_capacities(&study.graph, &[(d3, padded_capacity)]);
-    let offset = conservative_offset(&study.graph, &analysis).expect("offset fits")
-        + opts.validation.extra_offset;
-    let with_headroom = validate_assigned_capacities_under_faults(
-        &padded,
-        analysis.constraint(),
-        offset,
-        analysis.options().release,
+    let with_headroom = validate_capacities_under_faults(
+        &study.graph,
+        &analysis,
+        &[(d3, padded_capacity)],
         &faults,
         &opts,
     )

@@ -25,7 +25,7 @@
 //! skipped by `--wall-clock-ms`.
 
 use vrdf_apps::{cli, fleet_corpus};
-use vrdf_sim::{run_fleet, FleetOptions};
+use vrdf_sim::{run_fleet, FleetOptions, FleetReport};
 
 const USAGE: &str = "usage: fleet [--job validate|minimize|baseline] [--batch N] [--seed S] \
                      [--jobs W] [--firings N] [--random-runs N] [--wall-clock-ms N] \
@@ -72,7 +72,7 @@ fn main() {
     let report = run_fleet(&corpus, &opts);
     print!("{report}");
     if metrics {
-        vrdf_apps::print_fleet_metrics(&report);
+        print_fleet_metrics(&report);
     }
     if !report.all_ok() {
         eprintln!(
@@ -81,5 +81,31 @@ fn main() {
             report.results.len()
         );
         std::process::exit(1);
+    }
+}
+
+/// The `--metrics` endgame: prints the aggregate
+/// [`vrdf_sim::FleetSummary`] and the per-worker shard
+/// metrics (jobs drawn, busy vs idle wall time, outcome counts) to
+/// stderr, keeping stdout reserved for the per-graph report.
+fn print_fleet_metrics(report: &FleetReport) {
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    eprintln!("metrics: fleet pool");
+    eprintln!("  {}", report.summary());
+    eprintln!(
+        "  {:<8} {:>6} {:>12} {:>12} {:>5} {:>7} {:>8}",
+        "worker", "jobs", "busy", "idle", "ok", "failed", "skipped"
+    );
+    for (i, m) in report.worker_metrics.iter().enumerate() {
+        eprintln!(
+            "  {:<8} {:>6} {:>10.3}ms {:>10.3}ms {:>5} {:>7} {:>8}",
+            format!("w{i}"),
+            m.jobs,
+            ms(m.busy),
+            ms(m.idle),
+            m.ok,
+            m.failed,
+            m.skipped
+        );
     }
 }

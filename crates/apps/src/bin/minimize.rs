@@ -6,52 +6,41 @@
 //! $ cargo run --release -p vrdf-apps --bin minimize
 //! $ cargo run --release -p vrdf-apps --bin minimize -- --graph fork-join
 //! $ cargo run --release -p vrdf-apps --bin minimize -- --firings 60000 --random-runs 8
-//! $ cargo run --release -p vrdf-apps --bin minimize -- --batch 32 --jobs 4
 //! ```
 //!
 //! `--graph mp3` (default) searches the paper's MP3 playback chain;
 //! `--graph fork-join` searches the stereo demux → per-channel decoders
-//! → mux variant, the first workload past the chain restriction.
-//! `--batch N` switches to fleet mode: batch minimization over an
-//! N-graph synthetic corpus on a shared worker pool (`--jobs` workers,
-//! batteries forced single-threaded — the pool owns the cores).
+//! → mux variant, the first workload past the chain restriction.  Batch
+//! minimization over a synthetic corpus is `fleet --job minimize`.
 //!
 //! `--metrics` prints the aggregated search telemetry (engine counters,
-//! phase spans, probe latency for all probes and for failing ones;
-//! per-worker pool metrics in fleet mode) to stderr, and `--trace-out PATH` writes a
-//! Perfetto-loadable Chrome trace of one instrumented run of the graph.
-//! Both are gated: without the flags the search runs the uninstrumented
-//! hot path.
+//! phase spans, probe latency for all probes and for failing ones) to
+//! stderr, and `--trace-out PATH` writes a Perfetto-loadable Chrome
+//! trace of one instrumented run of the graph.  Both are gated: without
+//! the flags the search runs with telemetry off.
 //!
 //! Exits non-zero when the Eq. (4) baseline itself fails validation
-//! (which would make every reported minimum vacuous), or in fleet mode
-//! when any graph's search does not come back clean.
+//! (which would make every reported minimum vacuous).
 
-use vrdf_apps::{case_study, cli, fleet_corpus, CASE_STUDY_NAMES};
+use vrdf_apps::{case_study, cli, CASE_STUDY_NAMES};
 use vrdf_core::compute_buffer_capacities;
-use vrdf_sim::{minimize_capacities, run_fleet, FleetJob, FleetOptions, SearchOptions};
+use vrdf_sim::{minimize_capacities, SearchOptions};
 
 fn main() {
     let mut opts = SearchOptions::default();
-    let mut firings: Option<u64> = None;
+    let mut firings = 30_000u64;
     let mut graph = "mp3".to_owned();
-    let mut batch = 0usize;
-    let mut jobs = 0usize;
-    let mut seed = 1u64;
     let mut metrics = false;
     let mut trace_out: Option<std::path::PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--graph" => graph = cli::parse(args.next(), "--graph"),
-            "--firings" => firings = Some(cli::parse(args.next(), "--firings")),
+            "--firings" => firings = cli::parse(args.next(), "--firings"),
             "--random-runs" => {
                 opts.validation.random_runs = cli::parse(args.next(), "--random-runs")
             }
             "--threads" => opts.validation.threads = cli::parse(args.next(), "--threads"),
-            "--batch" => batch = cli::parse(args.next(), "--batch"),
-            "--jobs" => jobs = cli::parse(args.next(), "--jobs"),
-            "--seed" => seed = cli::parse(args.next(), "--seed"),
             "--metrics" => metrics = true,
             "--trace-out" => {
                 trace_out = Some(cli::parse::<String>(args.next(), "--trace-out").into())
@@ -60,47 +49,14 @@ fn main() {
                 other,
                 &format!(
                     "usage: minimize [--graph {}] [--firings N] [--random-runs N] \
-                     [--threads N] [--batch N] [--jobs W] [--seed S] \
-                     [--metrics] [--trace-out PATH]",
+                     [--threads N] [--metrics] [--trace-out PATH]",
                     CASE_STUDY_NAMES.join("|")
                 ),
             ),
         }
     }
     opts.validation.telemetry = metrics;
-
-    if batch > 0 {
-        // Fleet mode: per-graph searches are much cheaper than the case
-        // studies, so the default battery is shorter.
-        opts.validation.endpoint_firings = firings.unwrap_or(2_000);
-        let fleet = FleetOptions {
-            job: FleetJob::Minimize,
-            workers: jobs,
-            validation: opts.validation.clone(),
-            budget: opts.budget,
-            wall_clock: None,
-        };
-        let corpus = fleet_corpus(seed, batch).unwrap_or_else(|e| {
-            eprintln!("error: corpus generation failed: {e}");
-            std::process::exit(1);
-        });
-        if let Some(path) = &trace_out {
-            let first = &corpus[0];
-            vrdf_apps::write_trace(path, &first.graph, first.constraint, 2_000);
-        }
-        let report = run_fleet(&corpus, &fleet);
-        print!("{report}");
-        if metrics {
-            vrdf_apps::print_fleet_metrics(&report);
-        }
-        if !report.all_ok() {
-            eprintln!("error: not every graph's search came back clean");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    opts.validation.endpoint_firings = firings.unwrap_or(30_000);
+    opts.validation.endpoint_firings = firings;
     let Some(study) = case_study(&graph) else {
         eprintln!(
             "error: unknown graph `{graph}` (expected one of: {})",

@@ -855,10 +855,10 @@ pub fn export_trace(
     let mut config = SimConfig::periodic(constraint, offset);
     config.max_endpoint_firings = endpoint_firings;
     config.trace = TraceLevel::All;
-    let report =
-        Simulator::with_telemetry(&sized, QuantumPlan::uniform(QuantumPolicy::Max), config)
-            .map_err(|e| format!("simulator construction failed: {e}"))?
-            .run();
+    config.telemetry = true;
+    let report = Simulator::new(&sized, QuantumPlan::uniform(QuantumPolicy::Max), config)
+        .map_err(|e| format!("simulator construction failed: {e}"))?
+        .run();
     std::fs::write(path, perfetto_trace(&report))
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     Ok(report)
@@ -890,33 +890,7 @@ pub fn write_trace(
     }
 }
 
-/// The `--metrics` endgame of the fleet-mode drivers: prints the
-/// aggregate [`vrdf_sim::FleetSummary`] and the per-worker shard
-/// metrics (jobs drawn, busy vs idle wall time, outcome counts) to
-/// stderr, keeping stdout reserved for the per-graph report.
-pub fn print_fleet_metrics(report: &vrdf_sim::FleetReport) {
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    eprintln!("metrics: fleet pool");
-    eprintln!("  {}", report.summary());
-    eprintln!(
-        "  {:<8} {:>6} {:>12} {:>12} {:>5} {:>7} {:>8}",
-        "worker", "jobs", "busy", "idle", "ok", "failed", "skipped"
-    );
-    for (i, m) in report.worker_metrics.iter().enumerate() {
-        eprintln!(
-            "  {:<8} {:>6} {:>10.3}ms {:>10.3}ms {:>5} {:>7} {:>8}",
-            format!("w{i}"),
-            m.jobs,
-            ms(m.busy),
-            ms(m.idle),
-            m.ok,
-            m.failed,
-            m.skipped
-        );
-    }
-}
-
-/// A mixed synthetic corpus for the fleet drivers and benches: random
+/// A mixed synthetic corpus for the `fleet` driver and the benches: random
 /// chains, fixed-shape fork/joins, random DAGs, and cyclic
 /// (feedback-edge) graphs in round-robin order, every member generated
 /// on a bounded response-time grid so the tick engine accepts it.

@@ -126,14 +126,6 @@ pub struct GraphAnalysis {
     violations: Vec<FeasibilityViolation>,
 }
 
-/// The historical name of [`GraphAnalysis`], from when the analysis was
-/// restricted to chains.
-#[deprecated(
-    since = "0.1.0",
-    note = "the analysis covers fork/join DAGs since PR 4; use `GraphAnalysis`"
-)]
-pub type ChainAnalysis = GraphAnalysis;
-
 impl GraphAnalysis {
     /// Per-buffer capacities, in the analysed view's buffer order
     /// (source-to-sink for a chain).
@@ -213,7 +205,7 @@ impl GraphAnalysis {
 ///
 /// # Errors
 ///
-/// * Topology errors from [`TaskGraph::dag`].
+/// * Topology errors from [`TaskGraph::condensed`].
 /// * [`AnalysisError::AmbiguousEndpoint`] when the constrained endpoint
 ///   is not unique (several sinks in sink-constrained mode, several
 ///   sources in source-constrained mode).
@@ -464,7 +456,7 @@ pub fn pair_capacity(
 ///
 /// # Errors
 ///
-/// Topology errors from [`TaskGraph::dag`] and rate errors from
+/// Topology errors from [`TaskGraph::condensed`] and rate errors from
 /// [`RateAssignment::derive_dag`].
 pub fn derive_rates(
     tg: &TaskGraph,

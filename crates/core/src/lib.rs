@@ -92,8 +92,6 @@ pub mod rational;
 pub mod taskgraph;
 
 pub use bounds::{EdgeBounds, ExistenceSchedule, FiringEvent, LinearBound, PairGaps};
-#[allow(deprecated)]
-pub use capacity::ChainAnalysis;
 pub use capacity::{
     compute_buffer_capacities, compute_buffer_capacities_via_chain, compute_buffer_capacities_with,
     derive_rates, pair_capacity, AnalysisOptions, BufferCapacity, ConstrainedRelease,
@@ -105,6 +103,4 @@ pub use obs::{CoreCounters, CounterSink};
 pub use quantum::QuantumSet;
 pub use rates::{ConstraintLocation, PairTiming, RateAssignment, ThroughputConstraint};
 pub use rational::{rat, ParseRationalError, Rational};
-#[allow(deprecated)]
-pub use taskgraph::DagView;
 pub use taskgraph::{Buffer, BufferId, ChainView, CondensedView, Task, TaskGraph, TaskId};

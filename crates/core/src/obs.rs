@@ -8,8 +8,8 @@
 //! is that vocabulary as a plain-old-data struct, and [`CounterSink`] is
 //! the hook trait an instrumented executor increments through — both
 //! engines implement their gating the same way (`telemetry` off means
-//! no increment ever executes, so a disabled run is bit-identical and
-//! within noise of an uninstrumented one).
+//! no increment ever executes, so a disabled run is bit-identical to an
+//! uninstrumented one).
 //!
 //! Engine-specific counters (timing-wheel routing, dirty-bitmap sweeps,
 //! quantum-policy dispatches) extend this set downstream; see

@@ -569,14 +569,6 @@ impl TaskGraph {
         })
     }
 
-    /// Former name of [`TaskGraph::condensed`].
-    #[deprecated(
-        note = "renamed to `condensed()`: the view now admits cycles closed by feedback edges"
-    )]
-    pub fn dag(&self) -> Result<CondensedView, AnalysisError> {
-        self.condensed()
-    }
-
     /// A directed cycle among the forward edges, passing through stuck
     /// tasks only, as a closed task-name walk (the last entry repeats
     /// the first).  `indegree[t] > 0` identifies the tasks Kahn's
@@ -868,14 +860,6 @@ impl ChainView {
             feedback: Vec::new(),
         }
     }
-
-    /// Former name of [`ChainView::to_condensed`].
-    #[deprecated(
-        note = "renamed to `to_condensed()`: the view now admits cycles closed by feedback edges"
-    )]
-    pub fn to_dag(&self) -> CondensedView {
-        self.to_condensed()
-    }
 }
 
 /// A validated task graph condensed onto its forward core: tasks in
@@ -886,8 +870,7 @@ impl ChainView {
 ///
 /// Produced by [`TaskGraph::condensed`] or [`ChainView::to_condensed`];
 /// on a chain both order the buffers source to sink.  On an acyclic
-/// graph the view is exactly the old `DagView`: no feedback edges, all
-/// orders unchanged.
+/// graph the view has no feedback edges.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CondensedView {
     topo: Vec<TaskId>,
@@ -896,12 +879,6 @@ pub struct CondensedView {
     sinks: Vec<TaskId>,
     feedback: Vec<BufferId>,
 }
-
-/// Former name of [`CondensedView`].
-#[deprecated(
-    note = "renamed to `CondensedView`: the view now admits cycles closed by feedback edges"
-)]
-pub type DagView = CondensedView;
 
 impl CondensedView {
     /// Tasks in topological order of the forward core: every forward

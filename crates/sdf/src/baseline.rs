@@ -164,7 +164,7 @@ impl BaselineAnalysis {
 ///
 /// # Errors
 ///
-/// * Topology and endpoint errors from [`TaskGraph::dag`], wrapped in
+/// * Topology and endpoint errors from [`TaskGraph::condensed`], wrapped in
 ///   [`SdfError::Core`].
 /// * [`SdfError::Core`]([`AnalysisError::ZeroQuantumNotSupported`]) when
 ///   a production set contains 0 in sink-constrained mode (or a

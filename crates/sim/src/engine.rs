@@ -1,7 +1,7 @@
 //! The self-timed discrete-event executor.
 //!
 //! The engine executes a fork/join [`TaskGraph`] (any DAG accepted by
-//! [`TaskGraph::dag`]; chains are the degenerate case) under the paper's
+//! [`TaskGraph::condensed`]; chains are the degenerate case) under the paper's
 //! operational semantics (Section 3): a task may start a firing when
 //! *every* input buffer holds enough full containers *and* *every* output
 //! buffer holds enough empty containers for the per-edge quanta of that
@@ -87,7 +87,7 @@ use vrdf_core::{
 
 use crate::faults::{CompiledFaults, FaultPlan};
 use crate::policy::{CompiledQuantum, QuantumPlan, Side};
-use crate::telemetry::{EngineCounters, OccupancySample, PhaseTimes, Telemetry};
+use crate::telemetry::{EngineCounters, OccupancySample, PhaseTimes};
 use crate::SimError;
 
 /// How the throughput-constrained endpoint task is scheduled.
@@ -139,6 +139,16 @@ pub struct SimConfig {
     pub trace: TraceLevel,
     /// Stop at the first deadline miss instead of collecting all of them.
     pub stop_on_violation: bool,
+    /// Bounded fault perturbations every run replays: transient stalls
+    /// and drop-retries inflate the affected firings' response times,
+    /// release jitter delays the endpoint's periodic releases.  Empty by
+    /// default; an empty plan runs the fault-free engine bit for bit.
+    pub faults: FaultPlan,
+    /// Collect [`EngineCounters`], reset/run phase spans, and — at
+    /// [`TraceLevel::All`] — per-buffer occupancy samples
+    /// ([`SimReport::occupancy`]).  `false` by default; a run with it off
+    /// is bit-identical to one with it on, minus the extra data.
+    pub telemetry: bool,
 }
 
 impl SimConfig {
@@ -153,6 +163,8 @@ impl SimConfig {
             max_events: 50_000_000,
             trace: TraceLevel::None,
             stop_on_violation: false,
+            faults: FaultPlan::default(),
+            telemetry: false,
         }
     }
 
@@ -358,17 +370,16 @@ pub struct SimReport {
     /// `None` when no fault struck; recovery windows are measured from
     /// here.
     pub last_fault_time: Option<Rational>,
-    /// Engine activity counters; `Some` iff the plan was built with
-    /// telemetry enabled ([`SimPlan::with_telemetry`] /
-    /// [`SimPlan::instrumented`]).
+    /// Engine activity counters; `Some` iff the run's config enables
+    /// telemetry ([`SimConfig::telemetry`]).
     pub counters: Option<EngineCounters>,
     /// Buffer-occupancy history, one sample per occupancy change.
     /// Non-empty only for telemetry-enabled runs traced at
     /// [`TraceLevel::All`]; the Perfetto exporter renders these as
     /// counter tracks.
     pub occupancy: Vec<OccupancySample>,
-    /// Wall-clock spans of the reset and run phases; `Some` iff the plan
-    /// was built with telemetry enabled.  Wall times live here, outside
+    /// Wall-clock spans of the reset and run phases; `Some` iff the run's
+    /// config enables telemetry.  Wall times live here, outside
     /// every compared field, so differential comparisons and merged
     /// results stay deterministic.
     pub spans: Option<PhaseTimes>,
@@ -722,7 +733,7 @@ pub struct SimPlan<'a> {
     wheel_hint: i128,
     /// Bounded fault perturbations, compiled onto this plan's tick clock.
     /// Empty for fault-free plans; every hot-path hook is gated on the
-    /// emptiness check so [`SimPlan::new`] stays bit-identical to the
+    /// emptiness check so a fault-free plan stays bit-identical to the
     /// pre-fault engine.
     faults: CompiledFaults,
     /// Whether runs of this plan collect [`EngineCounters`], phase spans,
@@ -735,7 +746,8 @@ pub struct SimPlan<'a> {
 
 impl<'a> SimPlan<'a> {
     /// Builds the reusable plan for a task graph (chain or fork/join DAG)
-    /// under one [`SimConfig`].
+    /// under one [`SimConfig`], compiling its fault plan onto the tick
+    /// clock and fixing its telemetry gate for every run.
     ///
     /// Buffers may still be missing capacities here — defaults are taken
     /// from the graph and checked (after per-run overrides) when a run
@@ -744,69 +756,14 @@ impl<'a> SimPlan<'a> {
     ///
     /// # Errors
     ///
-    /// * [`SimError::Analysis`] — the graph is not a valid DAG, or the
-    ///   constrained endpoint is ambiguous.
-    /// * [`SimError::TickOverflow`] — the run's times cannot be rescaled
-    ///   to a shared integer tick clock within `u64` ticks.
+    /// * [`SimError::Analysis`] — the graph is not a valid DAG, the
+    ///   constrained endpoint is ambiguous, or a fault names an unknown
+    ///   task.
+    /// * [`SimError::TickOverflow`] — the run's times (fault times
+    ///   included) cannot be rescaled to a shared integer tick clock
+    ///   within `u64` ticks.
+    /// * [`SimError::InvalidFault`] — a negative fault duration.
     pub fn new(tg: &'a TaskGraph, config: SimConfig) -> Result<SimPlan<'a>, SimError> {
-        Self::build(tg, config, None, Telemetry::disabled())
-    }
-
-    /// Like [`SimPlan::new`], but every run of the plan replays the given
-    /// bounded [`FaultPlan`]: transient stalls and drop-retries inflate
-    /// the affected firings' response times, release jitter delays the
-    /// endpoint's periodic releases.  An empty plan is bit-identical to
-    /// [`SimPlan::new`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SimPlan::new`], plus [`SimError::InvalidFault`] for negative
-    /// fault durations and [`SimError::Analysis`] /
-    /// [`SimError::TickOverflow`] for unknown task names or fault times
-    /// that do not fit the tick clock.
-    pub fn with_faults(
-        tg: &'a TaskGraph,
-        config: SimConfig,
-        faults: &FaultPlan,
-    ) -> Result<SimPlan<'a>, SimError> {
-        Self::build(tg, config, Some(faults), Telemetry::disabled())
-    }
-
-    /// Like [`SimPlan::new`], but every run of the plan collects
-    /// telemetry: [`EngineCounters`], reset/run phase spans, and — when
-    /// the config traces at [`TraceLevel::All`] — per-buffer occupancy
-    /// samples ([`SimReport::occupancy`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`SimPlan::new`].
-    pub fn with_telemetry(tg: &'a TaskGraph, config: SimConfig) -> Result<SimPlan<'a>, SimError> {
-        Self::build(tg, config, None, Telemetry::enabled())
-    }
-
-    /// The fully general constructor: a fault plan **and** a telemetry
-    /// gate.  `SimPlan::instrumented(tg, config, &FaultPlan::default(),
-    /// Telemetry::disabled())` is bit-identical to [`SimPlan::new`] —
-    /// the gated-hooks guarantee the differential tests pin.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimPlan::with_faults`].
-    pub fn instrumented(
-        tg: &'a TaskGraph,
-        config: SimConfig,
-        faults: &FaultPlan,
-        telemetry: Telemetry,
-    ) -> Result<SimPlan<'a>, SimError> {
-        Self::build(tg, config, Some(faults), telemetry)
-    }
-
-    fn build(
-        tg: &'a TaskGraph,
-        config: SimConfig,
-        fault_plan: Option<&FaultPlan>,
-        telemetry: Telemetry,
-    ) -> Result<SimPlan<'a>, SimError> {
         let dag = tg.condensed().map_err(SimError::Analysis)?;
 
         // One shared tick denominator for every time in the run.
@@ -832,10 +789,8 @@ impl<'a> SimPlan<'a> {
             for &tid in dag.tasks() {
                 fold(tg.task(tid).response_time(), tg.task(tid).name())?;
             }
-            if let Some(faults) = fault_plan {
-                for value in faults.time_values() {
-                    fold(value, "fault")?;
-                }
+            for value in config.faults.time_values() {
+                fold(value, "fault")?;
             }
         }
         let to_ticks = |r: Rational, what: &str| -> Result<i128, SimError> {
@@ -914,10 +869,12 @@ impl<'a> SimPlan<'a> {
             .transpose()?;
         let immediate_free = config.release == ConstrainedRelease::Immediate;
         let wheel_hint = rho.iter().copied().max().unwrap_or(0).max(period);
-        let faults = match fault_plan {
-            Some(plan) if !plan.is_empty() => plan.compile(tg, &task_pos, &rho, tick_den)?,
-            _ => CompiledFaults::default(),
+        let faults = if config.faults.is_empty() {
+            CompiledFaults::default()
+        } else {
+            config.faults.compile(tg, &task_pos, &rho, tick_den)?
         };
+        let telemetry = config.telemetry;
 
         Ok(SimPlan {
             tg,
@@ -942,7 +899,7 @@ impl<'a> SimPlan<'a> {
             buf_pos,
             wheel_hint,
             faults,
-            telemetry: telemetry.is_enabled(),
+            telemetry,
         })
     }
 
@@ -1850,6 +1807,9 @@ impl<'a> Simulator<'a> {
     ///   plan draws values outside a buffer's quantum set.
     /// * [`SimError::TickOverflow`] — the run's times cannot be rescaled
     ///   to a shared integer tick clock within `u64` ticks.
+    /// * [`SimError::InvalidFault`] — the config's fault plan has a
+    ///   negative duration (an unknown task name is
+    ///   [`SimError::Analysis`]).
     pub fn new(
         tg: &'a TaskGraph,
         plan: QuantumPlan,
@@ -1866,59 +1826,9 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    /// Like [`Simulator::new`], but every run collects telemetry (see
-    /// [`SimPlan::with_telemetry`]): the report carries
-    /// [`EngineCounters`], phase spans, and — when the config traces at
-    /// [`TraceLevel::All`] — the occupancy samples the Perfetto exporter
-    /// renders.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::new`].
-    pub fn with_telemetry(
-        tg: &'a TaskGraph,
-        plan: QuantumPlan,
-        config: SimConfig,
-    ) -> Result<Simulator<'a>, SimError> {
-        let sim_plan = SimPlan::with_telemetry(tg, config)?;
-        plan.validate(tg)?;
-        sim_plan.require_capacities()?;
-        let state = sim_plan.state();
-        Ok(Simulator {
-            plan: sim_plan,
-            state,
-            quanta: plan,
-        })
-    }
-
-    /// Like [`Simulator::new`], but every run replays the given bounded
-    /// [`FaultPlan`] (see [`SimPlan::with_faults`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::new`], plus [`SimError::InvalidFault`] for
-    /// negative fault durations and [`SimError::Analysis`] for unknown
-    /// task names in the fault plan.
-    pub fn with_faults(
-        tg: &'a TaskGraph,
-        plan: QuantumPlan,
-        config: SimConfig,
-        faults: &FaultPlan,
-    ) -> Result<Simulator<'a>, SimError> {
-        let sim_plan = SimPlan::with_faults(tg, config, faults)?;
-        plan.validate(tg)?;
-        sim_plan.require_capacities()?;
-        let state = sim_plan.state();
-        Ok(Simulator {
-            plan: sim_plan,
-            state,
-            quanta: plan,
-        })
-    }
-
     /// Runs the simulation to completion and returns the report.
     pub fn run(mut self) -> SimReport {
-        // `new`/`with_faults` validated the plan and capacities.
+        // `new` validated the plan and capacities.
         #[allow(clippy::expect_used)]
         self.plan
             .run(&mut self.state, &self.quanta)

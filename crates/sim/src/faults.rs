@@ -18,10 +18,12 @@
 //!   constrained endpoint (the *source* in source-constrained mode) are
 //!   issued late by a bounded, non-negative delay.
 //!
-//! A [`FaultPlan`] compiles onto the engine's integer tick clock at plan
-//! construction ([`crate::SimPlan::with_faults`]), so injection costs one
-//! branch per firing start; an **empty plan is bit-identical to the
-//! uninjected engine** (`tests/faults.rs` pins this differentially).
+//! A [`FaultPlan`] rides in the run's [`crate::SimConfig::faults`] and
+//! compiles onto the engine's integer tick clock when the
+//! [`crate::SimPlan`] is built, so injection costs one branch per firing
+//! start.  An **empty plan** (the default) runs the fault-free engine:
+//! `tests/faults.rs` pins it bit-identical to the hook-free reference
+//! engine.
 //!
 //! [`validate_capacities_under_faults`] replays the full scenario battery
 //! of [`crate::validate_capacities`] under a fault plan — with
@@ -42,9 +44,7 @@
 
 use std::fmt;
 
-use vrdf_core::{
-    AnalysisError, ConstrainedRelease, GraphAnalysis, Rational, TaskGraph, ThroughputConstraint,
-};
+use vrdf_core::{AnalysisError, BufferId, GraphAnalysis, Rational, TaskGraph};
 
 use crate::engine::{SimOutcome, SimReport};
 use crate::validate::{
@@ -99,8 +99,11 @@ pub struct ReleaseFault {
 }
 
 /// A bounded fault scenario: task stalls, drop-retries, and release
-/// jitter, all finite.  Compiled to tick-space perturbations when a
-/// [`crate::SimPlan`] is built ([`crate::SimPlan::with_faults`]).
+/// jitter, all finite.  Set it as [`crate::SimConfig::faults`]; it is
+/// compiled to tick-space perturbations when the [`crate::SimPlan`] is
+/// built.  Only the tick engine injects faults:
+/// [`crate::ReferenceSimulator::new`] refuses a non-empty plan with
+/// [`SimError::InvalidFault`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Per-task fault windows.
@@ -482,13 +485,18 @@ impl fmt::Display for FaultValidationReport {
     }
 }
 
-/// Replays the computed capacities against the scenario battery under a
+/// Replays the computed capacities, with per-buffer `overrides` applied
+/// on top (later entries win), against the scenario battery under a
 /// bounded fault plan and grades each scenario's recovery.
 ///
-/// Capacities, offset, and release convention come from the analysis
-/// exactly as in [`crate::validate_capacities`]; the only battery
-/// difference is that `stop_on_violation` is forced off so the post-fault
-/// transient (and its recovery or persistence) is fully observable.
+/// Offset and release convention come from the analysis exactly as in
+/// [`crate::validate_capacities`] — the offset stays the analysed
+/// assignment's conservative one whatever the overrides — so padding an
+/// edge (fault headroom) or starving one (an under-provisioned
+/// assignment) is compared on the same schedule.  The only battery
+/// difference is that `stop_on_violation` is forced off so the
+/// post-fault transient (and its recovery or persistence) is fully
+/// observable.
 ///
 /// # Errors
 ///
@@ -498,59 +506,28 @@ impl fmt::Display for FaultValidationReport {
 pub fn validate_capacities_under_faults(
     tg: &TaskGraph,
     analysis: &GraphAnalysis,
+    overrides: &[(BufferId, u64)],
     faults: &FaultPlan,
     opts: &FaultValidationOptions,
 ) -> Result<FaultValidationReport, SimError> {
-    let mut sized = tg.clone();
-    analysis.apply(&mut sized);
+    let sized = analysis.with_capacities(tg, overrides);
     let offset = conservative_offset(tg, analysis)?
         .checked_add(opts.validation.extra_offset)
         .ok_or_else(crate::validate::offset_overflow)?;
-    let report = run_fault_battery(
-        &sized,
-        analysis.constraint(),
-        offset,
-        analysis.options().release,
-        faults,
-        opts,
-    )?;
-    Ok(report)
-}
-
-/// Like [`validate_capacities_under_faults`], but replays whatever
-/// capacities the graph already carries, with an explicit offset and
-/// release convention — the tool for showing that an under-provisioned
-/// assignment does *not* recover from a fault the analysed one absorbs.
-///
-/// # Errors
-///
-/// As [`validate_capacities_under_faults`] (including unset capacities).
-pub fn validate_assigned_capacities_under_faults(
-    tg: &TaskGraph,
-    constraint: ThroughputConstraint,
-    offset: Rational,
-    release: ConstrainedRelease,
-    faults: &FaultPlan,
-    opts: &FaultValidationOptions,
-) -> Result<FaultValidationReport, SimError> {
-    run_fault_battery(tg, constraint, offset, release, faults, opts)
-}
-
-fn run_fault_battery(
-    sized: &TaskGraph,
-    constraint: ThroughputConstraint,
-    offset: Rational,
-    release: ConstrainedRelease,
-    faults: &FaultPlan,
-    opts: &FaultValidationOptions,
-) -> Result<FaultValidationReport, SimError> {
     let battery_opts = ValidationOptions {
         stop_on_violation: false,
         ..opts.validation.clone()
     };
-    let mut runner =
-        ScenarioRunner::with_faults(sized, constraint, offset, release, &battery_opts, faults)?;
-    let report = runner.validate(&[])?;
+    let constraint = analysis.constraint();
+    let report = ScenarioRunner::build(
+        &sized,
+        constraint,
+        offset,
+        analysis.options().release,
+        &battery_opts,
+        faults.clone(),
+    )?
+    .validate(&[])?;
     let period = constraint.period();
     Ok(FaultValidationReport {
         offset: report.offset,

@@ -18,7 +18,9 @@
 //!   arenas: a construct-once [`SimPlan`] (DAG validation, integer tick
 //!   rescale, flattened adjacency) run many times over a reusable
 //!   [`SimState`]; [`Simulator`] wraps the pair for one-shot runs.
-//!   Firing traces, deadline-miss and deadlock detection.
+//!   Firing traces, deadline-miss and deadlock detection.  Every engine
+//!   has one constructor taking a [`SimConfig`]; its `faults` and
+//!   `telemetry` fields switch the two hook sets on.
 //! * [`validate`] — [`validate_capacities`], the executable oracle for the
 //!   paper's sufficiency theorem: replay arbitrary admissible quantum
 //!   scenarios against the capacities the analysis computed and confirm
@@ -36,11 +38,13 @@
 //!   table) for every graph of a corpus on the crate's one worker pool
 //!   (the one the scenario battery fans out on), with a deterministic
 //!   merge by index so results are bit-identical for any worker count.
-//! * [`telemetry`] — zero-overhead observability: engine counters, phase
-//!   spans, latency histograms, and the Chrome-trace/Perfetto exporter.
-//!   Compiled in but gated exactly like [`faults`]; a
-//!   [`Telemetry::disabled()`] run is bit-identical and within noise of
-//!   the uninstrumented engine.
+//! * [`telemetry`] — observability: engine counters, phase spans,
+//!   latency histograms, and the Chrome-trace/Perfetto exporter.
+//!   Compiled in but gated exactly like [`faults`], on
+//!   [`SimConfig::telemetry`]; a run with it off is bit-identical to the
+//!   hook-free [`ReferenceSimulator`] (pinned by tests).  The gating's
+//!   wall-clock cost has not been measured against a hook-free
+//!   revision.
 //!
 //! ## Quick start
 //!
@@ -84,9 +88,8 @@ pub use engine::{
     SimPlan, SimReport, SimState, Simulator, TaskStats, TraceLevel, Violation,
 };
 pub use faults::{
-    validate_assigned_capacities_under_faults, validate_capacities_under_faults, FaultKind,
-    FaultPlan, FaultScenarioResult, FaultValidationOptions, FaultValidationReport, RecoveryVerdict,
-    ReleaseFault, TaskFault,
+    validate_capacities_under_faults, FaultKind, FaultPlan, FaultScenarioResult,
+    FaultValidationOptions, FaultValidationReport, RecoveryVerdict, ReleaseFault, TaskFault,
 };
 pub use fleet::{
     run_fleet, FleetItem, FleetJob, FleetOptions, FleetReport, FleetResult, FleetSummary,
@@ -99,12 +102,12 @@ pub use search::{
 };
 pub use telemetry::{
     perfetto_trace, EngineCounters, Histogram, MetricsSnapshot, OccupancySample, PhaseTimes,
-    SearchMetrics, Telemetry, ValidationMetrics,
+    SearchMetrics, ValidationMetrics,
 };
 pub use validate::{
-    conservative_offset, effective_threads, measure_drift, validate_assigned_capacities,
-    validate_capacities, EngineKind, OccupancyBreach, ScenarioResult, ScenarioRunner,
-    ValidationOptions, ValidationReport, WorkerPanic,
+    conservative_offset, effective_threads, measure_drift, validate_capacities, EngineKind,
+    OccupancyBreach, ScenarioResult, ScenarioRunner, ValidationOptions, ValidationReport,
+    WorkerPanic,
 };
 
 use std::fmt;

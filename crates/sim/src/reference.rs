@@ -119,17 +119,27 @@ pub struct ReferenceSimulator<'a> {
 
 impl<'a> ReferenceSimulator<'a> {
     /// Builds a reference simulator; same contract as
-    /// [`Simulator::new`](crate::engine::Simulator::new).
+    /// [`Simulator::new`](crate::engine::Simulator::new).  With
+    /// [`SimConfig::telemetry`] on, the report carries the coarse counter
+    /// subset, for differential comparison against an instrumented
+    /// tick-engine run.
     ///
     /// # Errors
     ///
     /// Same as [`Simulator::new`](crate::engine::Simulator::new), minus
-    /// [`SimError::TickOverflow`] — rational time never rescales.
+    /// [`SimError::TickOverflow`] — rational time never rescales — and
+    /// with [`SimError::InvalidFault`] for any non-empty
+    /// [`SimConfig::faults`]: the reference engine has no fault hooks.
     pub fn new(
         tg: &'a TaskGraph,
         plan: QuantumPlan,
         config: SimConfig,
     ) -> Result<ReferenceSimulator<'a>, SimError> {
+        if !config.faults.is_empty() {
+            return Err(SimError::InvalidFault {
+                detail: "the reference engine cannot inject faults".to_owned(),
+            });
+        }
         let dag = tg.condensed().map_err(SimError::Analysis)?;
         plan.validate(tg)?;
 
@@ -198,6 +208,7 @@ impl<'a> ReferenceSimulator<'a> {
         };
         let endpoint = task_pos[endpoint_task.index()];
         let period = config.constraint.period();
+        let telemetry = config.telemetry;
 
         let mut sim = ReferenceSimulator {
             tg,
@@ -219,7 +230,7 @@ impl<'a> ReferenceSimulator<'a> {
             last_start: None,
             max_drift: None,
             max_lateness: None,
-            telemetry: false,
+            telemetry,
             counters: CoreCounters::default(),
         };
         if let EndpointBehavior::StrictlyPeriodic { offset } = sim.config.behavior {
@@ -228,14 +239,6 @@ impl<'a> ReferenceSimulator<'a> {
             }
         }
         Ok(sim)
-    }
-
-    /// Enables the coarse counter subset on this run, for differential
-    /// comparison against an instrumented tick-engine run.
-    #[must_use]
-    pub fn with_telemetry(mut self) -> Self {
-        self.telemetry = true;
-        self
     }
 
     fn push(&mut self, time: Rational, kind: EventKind) {
@@ -528,8 +531,8 @@ impl<'a> ReferenceSimulator<'a> {
             trace: self.trace,
             events_processed: self.events_processed,
             end_time: self.now,
-            // The reference engine cannot inject faults; it only ever
-            // runs fault-free plans (the degraded tick-overflow path).
+            // The reference engine cannot inject faults: construction
+            // refuses a non-empty fault plan.
             faults_injected: 0,
             first_fault_time: None,
             last_fault_time: None,

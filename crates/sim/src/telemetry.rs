@@ -1,15 +1,16 @@
-//! Zero-overhead telemetry: engine counters, phase spans, latency
-//! histograms, and the Chrome-trace/Perfetto exporter.
+//! Telemetry: engine counters, phase spans, latency histograms, and the
+//! Chrome-trace/Perfetto exporter.
 //!
 //! Instrumentation follows the [`crate::faults`] gating discipline
 //! exactly: the hooks are **always compiled in** and gated on one
-//! boolean carried by the `SimPlan` ([`Telemetry::disabled()`] is the
-//! default).  A disabled run executes not a single counter increment or
-//! clock read in the hot loop, so it is bit-identical to the
-//! pre-telemetry engine — `tests/telemetry.rs` pins the identity on the
-//! MP3 chain and the random chain/DAG/cyclic corpora, and the
-//! `telemetry_overhead` bench pins that the gate itself is within noise
-//! of free.
+//! boolean, [`crate::SimConfig::telemetry`] (off by default), that the
+//! `SimPlan` fixes at construction.  A disabled run executes not a
+//! single counter increment or clock read in the hot loop, and
+//! `tests/telemetry.rs` pins that it is bit-identical to the hook-free
+//! reference engine on the MP3 chain and the random chain/DAG/cyclic
+//! corpora.  The gating's wall-clock cost has not been measured against
+//! a revision without the hooks; the `hook_overhead` bench times hooks
+//! off against telemetry on and a striking fault.
 //!
 //! The layer has four pieces:
 //!
@@ -37,32 +38,6 @@ use std::time::Duration;
 use vrdf_core::{BufferId, CounterSink, Rational};
 
 use crate::engine::SimReport;
-
-/// The telemetry gate: carried into `SimPlan` construction, mirroring
-/// how an empty [`crate::FaultPlan`] disables the fault hooks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Telemetry {
-    enabled: bool,
-}
-
-impl Telemetry {
-    /// No instrumentation: the engine runs bit-identical to (and within
-    /// noise of) a build without the hooks.  This is the default.
-    pub const fn disabled() -> Telemetry {
-        Telemetry { enabled: false }
-    }
-
-    /// Full instrumentation: counters always, occupancy samples when the
-    /// run also traces at `TraceLevel::All`.
-    pub const fn enabled() -> Telemetry {
-        Telemetry { enabled: true }
-    }
-
-    /// Whether instrumentation is on.
-    pub const fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-}
 
 /// Monotonic activity counters of the tick engine's hot paths.
 ///
@@ -580,9 +555,10 @@ mod tests {
 
     #[test]
     fn gate_defaults_to_disabled() {
-        assert!(!Telemetry::default().is_enabled());
-        assert!(!Telemetry::disabled().is_enabled());
-        assert!(Telemetry::enabled().is_enabled());
+        let constraint = vrdf_core::ThroughputConstraint::on_sink(Rational::ONE).unwrap();
+        assert!(!crate::SimConfig::self_timed(constraint).telemetry);
+        assert!(!crate::SimConfig::periodic(constraint, Rational::ZERO).telemetry);
+        assert!(!crate::ValidationOptions::default().telemetry);
     }
 
     #[test]

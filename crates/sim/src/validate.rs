@@ -68,7 +68,7 @@ use crate::faults::FaultPlan;
 use crate::policy::{QuantumPlan, QuantumPolicy};
 use crate::pool::{self, Outcome};
 use crate::reference::ReferenceSimulator;
-use crate::telemetry::{Telemetry, ValidationMetrics};
+use crate::telemetry::ValidationMetrics;
 use crate::SimError;
 
 /// Tunables for [`validate_capacities`].
@@ -106,10 +106,9 @@ pub struct ValidationOptions {
     /// `None` (the default) injects nothing.
     pub chaos_panic_scenario: Option<String>,
     /// Collect engine counters, phase spans, and per-scenario wall times
-    /// into [`ValidationReport::metrics`].  Gated exactly like faults:
-    /// the hooks are always compiled in, and a disabled run is
-    /// bit-identical to an uninstrumented one (see
-    /// [`crate::telemetry::Telemetry`]).  `false` by default.
+    /// into [`ValidationReport::metrics`]: every scenario runs with
+    /// [`SimConfig::telemetry`] on.  Telemetry is passive — the verdict
+    /// is the same either way.  `false` by default.
     pub telemetry: bool,
 }
 
@@ -437,9 +436,10 @@ fn scenario_plans(tg: &TaskGraph, opts: &ValidationOptions) -> Vec<(String, Quan
 /// reports whether the throughput constraint survived every one.
 ///
 /// The graph's capacities `ζ(b)` are overwritten with the analysis'
-/// results on a clone — the input graph is untouched.  Use
-/// [`validate_assigned_capacities`] to probe whatever capacities a graph
-/// already carries (e.g. deliberately under-provisioned ones).
+/// results on a clone — the input graph is untouched.  Build a
+/// [`ScenarioRunner`] to probe whatever capacities a graph already
+/// carries (e.g. deliberately under-provisioned ones) at an explicit
+/// offset.
 ///
 /// # Errors
 ///
@@ -475,32 +475,14 @@ pub fn validate_capacities(
     let offset = conservative_offset(tg, analysis)?
         .checked_add(opts.extra_offset)
         .ok_or(offset_overflow())?;
-    validate_graph(
+    ScenarioRunner::new(
         &sized,
         analysis.constraint(),
         offset,
         analysis.options().release,
         opts,
-    )
-}
-
-/// Like [`validate_capacities`], but replays the capacities already
-/// assigned on the graph (`ζ(b)`), with an explicit offset and release
-/// convention.  This is the tool for falsification experiments: assign
-/// `capacity − 1` on an edge and watch the deadline miss appear.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from simulator construction (including unset
-/// capacities).
-pub fn validate_assigned_capacities(
-    tg: &TaskGraph,
-    constraint: ThroughputConstraint,
-    offset: Rational,
-    release: vrdf_core::ConstrainedRelease,
-    opts: &ValidationOptions,
-) -> Result<ValidationReport, SimError> {
-    validate_graph(tg, constraint, offset, release, opts)
+    )?
+    .validate(&[])
 }
 
 /// Resolves a worker-thread cap against `n` units of independent work.
@@ -549,7 +531,7 @@ pub struct ScenarioRunner<'a> {
     offset: Rational,
     wall_clock: Option<Duration>,
     chaos_panic_scenario: Option<String>,
-    telemetry: Telemetry,
+    telemetry: bool,
     plan_build: Duration,
 }
 
@@ -592,25 +574,21 @@ impl<'a> ScenarioRunner<'a> {
         release: ConstrainedRelease,
         opts: &ValidationOptions,
     ) -> Result<ScenarioRunner<'a>, SimError> {
-        Self::with_faults(tg, constraint, offset, release, opts, &FaultPlan::default())
+        Self::build(tg, constraint, offset, release, opts, FaultPlan::default())
     }
 
-    /// Like [`ScenarioRunner::new`], but every scenario replays the given
-    /// bounded [`FaultPlan`] (see [`SimPlan::with_faults`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ScenarioRunner::new`], plus [`SimError::InvalidFault`] for a
-    /// malformed fault plan.  Fault injection needs the tick engine, so a
-    /// tick overflow with a non-empty fault plan is an error rather than
-    /// a silent fault-free reference fallback.
-    pub fn with_faults(
+    /// [`ScenarioRunner::new`] with every scenario replaying `faults` —
+    /// the fault battery's runner.  Fault injection needs the tick
+    /// engine, so a tick overflow with a non-empty fault plan is an
+    /// error rather than a silent fault-free reference fallback; a
+    /// malformed plan is [`SimError::InvalidFault`].
+    pub(crate) fn build(
         tg: &'a TaskGraph,
         constraint: ThroughputConstraint,
         offset: Rational,
         release: ConstrainedRelease,
         opts: &ValidationOptions,
-        faults: &FaultPlan,
+        faults: FaultPlan,
     ) -> Result<ScenarioRunner<'a>, SimError> {
         let mut config = SimConfig::periodic(constraint, offset);
         config.release = release;
@@ -618,20 +596,17 @@ impl<'a> ScenarioRunner<'a> {
         config.max_events = opts.max_events;
         config.stop_on_violation = opts.stop_on_violation;
         config.trace = TraceLevel::None;
-        let telemetry = if opts.telemetry {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        };
+        config.faults = faults;
+        config.telemetry = opts.telemetry;
         let scenarios = scenario_plans(tg, opts);
         let threads = effective_threads(opts.threads, scenarios.len());
-        let build_begin = telemetry.is_enabled().then(Instant::now);
-        let engine = match SimPlan::instrumented(tg, config.clone(), faults, telemetry) {
+        let build_begin = opts.telemetry.then(Instant::now);
+        let engine = match SimPlan::new(tg, config.clone()) {
             Ok(plan) => {
                 let states = (0..threads).map(|_| plan.state()).collect();
                 RunnerEngine::Tick { plan, states }
             }
-            Err(SimError::TickOverflow { .. }) if faults.is_empty() => {
+            Err(SimError::TickOverflow { .. }) if config.faults.is_empty() => {
                 RunnerEngine::Reference { tg, config }
             }
             Err(e) => return Err(e),
@@ -643,7 +618,7 @@ impl<'a> ScenarioRunner<'a> {
             offset,
             wall_clock: opts.wall_clock,
             chaos_panic_scenario: opts.chaos_panic_scenario.clone(),
-            telemetry,
+            telemetry: opts.telemetry,
             plan_build: build_begin.map_or(Duration::ZERO, |b| b.elapsed()),
         })
     }
@@ -721,7 +696,7 @@ impl<'a> ScenarioRunner<'a> {
         let scenarios = &self.scenarios;
         let deadline = self.wall_clock.map(|budget| Instant::now() + budget);
         let chaos = self.chaos_panic_scenario.as_deref();
-        let timed = self.telemetry.is_enabled();
+        let timed = self.telemetry;
         let fails = fail_fast.then_some(fails_battery as fn(&_) -> bool);
         // Scenario `i`, after the chaos hook had its chance to panic.
         let scenario = |i: usize| {
@@ -759,12 +734,7 @@ impl<'a> ScenarioRunner<'a> {
                 pool::run(&mut [()], scenarios.len(), deadline, fails, |_, i| {
                     let (name, quanta) = scenario(i);
                     let sim = ReferenceSimulator::new(graph, quanta.clone(), config.clone())?;
-                    let report = if timed {
-                        sim.with_telemetry().run()
-                    } else {
-                        sim.run()
-                    };
-                    Ok(ScenarioResult::from_report(name.clone(), report))
+                    Ok(ScenarioResult::from_report(name.clone(), sim.run()))
                 })
             }
         };
@@ -824,16 +794,6 @@ impl<'a> ScenarioRunner<'a> {
 /// scenario that did not pass.
 fn fails_battery(run: &Result<ScenarioResult, SimError>) -> bool {
     !run.as_ref().is_ok_and(ScenarioResult::passed)
-}
-
-fn validate_graph(
-    tg: &TaskGraph,
-    constraint: ThroughputConstraint,
-    offset: Rational,
-    release: ConstrainedRelease,
-    opts: &ValidationOptions,
-) -> Result<ValidationReport, SimError> {
-    ScenarioRunner::new(tg, constraint, offset, release, opts)?.validate(&[])
 }
 
 /// Measures the endpoint's self-timed drift `max_k (s_k − k·τ)`: the

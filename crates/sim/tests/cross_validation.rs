@@ -14,8 +14,8 @@ use vrdf_apps::synthetic::{random_chain, ChainSpec};
 use vrdf_apps::{mp3_chain, mp3_constraint, mp3_feedback, MP3_PUBLISHED_CAPACITIES};
 use vrdf_core::{compute_buffer_capacities, Rational};
 use vrdf_sim::{
-    conservative_offset, measure_drift, validate_assigned_capacities, validate_capacities,
-    QuantumPlan, ValidationOptions,
+    conservative_offset, measure_drift, validate_capacities, QuantumPlan, ScenarioRunner,
+    ValidationOptions,
 };
 
 fn quick_options(endpoint_firings: u64) -> ValidationOptions {
@@ -123,13 +123,15 @@ fn mp3_with_capacity(buffer: &str, capacity: u64, endpoint_firings: u64) -> bool
     analysis.apply(&mut sized);
     let bid = sized.buffer_by_name(buffer).unwrap();
     sized.set_capacity(bid, capacity);
-    validate_assigned_capacities(
+    ScenarioRunner::new(
         &sized,
         mp3_constraint(),
         offset,
         analysis.options().release,
         &quick_options(endpoint_firings),
     )
+    .unwrap()
+    .validate(&[])
     .unwrap()
     .all_clear()
 }
@@ -169,13 +171,15 @@ fn analysis_capacity_minus_one_misses_deadline_on_tight_chain() {
     let mut starved = tg.clone();
     analysis.apply(&mut starved);
     starved.set_capacity(tight.buffer, tight.capacity - 1);
-    let report = validate_assigned_capacities(
+    let report = ScenarioRunner::new(
         &starved,
         constraint,
         offset,
         analysis.options().release,
         &quick_options(3_000),
     )
+    .unwrap()
+    .validate(&[])
     .unwrap();
     assert!(
         !report.all_clear(),

@@ -1,9 +1,11 @@
 //! Acceptance tests for the bounded fault-injection layer:
 //!
-//! 1. **Zero-fault bit-identity** — a plan built with an empty
-//!    [`FaultPlan`] must be observably identical to the uninjected tick
-//!    engine (traces, violations, outcomes, statistics, event counts) on
-//!    the MP3 chain and seeded random chain/DAG corpora.
+//! 1. **Zero-fault bit-identity** — a tick-engine run whose config
+//!    carries an empty [`FaultPlan`] must be observably identical to the
+//!    hook-free reference engine (traces, violations, outcomes,
+//!    statistics, event counts) on the MP3 chain and seeded random
+//!    chain/DAG corpora, and the reference engine must refuse a
+//!    non-empty plan.
 //! 2. **Recovery pinning** — the Eq. (4) MP3 capacities absorb an
 //!    upstream stall bounded by the provisioned buffer slack (strict
 //!    periodicity never breaks), a stall past that slack misses and —
@@ -22,10 +24,10 @@ use vrdf_core::{
     compute_buffer_capacities, rat, QuantumSet, Rational, TaskGraph, ThroughputConstraint,
 };
 use vrdf_sim::{
-    conservative_offset, minimize_capacities, validate_assigned_capacities_under_faults,
-    validate_capacities, validate_capacities_under_faults, EngineKind, FaultPlan,
-    FaultValidationOptions, QuantumPlan, QuantumPolicy, RecoveryVerdict, SearchBudget,
-    SearchOptions, SimConfig, SimError, SimReport, Simulator, TraceLevel, ValidationOptions,
+    conservative_offset, minimize_capacities, validate_capacities,
+    validate_capacities_under_faults, EngineKind, FaultPlan, FaultValidationOptions, QuantumPlan,
+    QuantumPolicy, RecoveryVerdict, ReferenceSimulator, SearchBudget, SearchOptions, SimConfig,
+    SimError, SimReport, Simulator, TraceLevel, ValidationOptions,
 };
 
 /// Asserts two reports are bit-identical in every observable field.
@@ -67,13 +69,13 @@ fn assert_identical(injected: &SimReport, plain: &SimReport, context: &str) {
     );
 }
 
-/// Runs one graph through both constructors and cross-checks them.
+/// Runs one graph on the tick engine with an empty fault plan and on the
+/// hook-free reference engine, and cross-checks them.
 fn run_both_ways(tg: &TaskGraph, constraint: ThroughputConstraint, context: &str) {
     let analysis = compute_buffer_capacities(tg, constraint).expect("analysable graph");
     let mut sized = tg.clone();
     analysis.apply(&mut sized);
     let offset = conservative_offset(tg, &analysis).expect("offset fits");
-    let empty = FaultPlan::new();
     for (scenario, quanta) in [
         ("max", QuantumPlan::uniform(QuantumPolicy::Max)),
         ("min", QuantumPlan::uniform(QuantumPolicy::Min)),
@@ -87,11 +89,12 @@ fn run_both_ways(tg: &TaskGraph, constraint: ThroughputConstraint, context: &str
             };
             config.max_endpoint_firings = 400;
             config.trace = TraceLevel::All;
-            let injected = Simulator::with_faults(&sized, quanta.clone(), config.clone(), &empty)
+            config.faults = FaultPlan::new();
+            let injected = Simulator::new(&sized, quanta.clone(), config.clone())
                 .expect("fault-free construction")
                 .run();
-            let plain = Simulator::new(&sized, quanta.clone(), config)
-                .expect("plain construction")
+            let plain = ReferenceSimulator::new(&sized, quanta.clone(), config)
+                .expect("reference construction")
                 .run();
             assert_identical(
                 &injected,
@@ -158,17 +161,12 @@ fn mp3_with_headroom_absorbs_a_stall_within_the_headroom_budget() {
     let tg = mp3_chain();
     let analysis = compute_buffer_capacities(&tg, mp3_constraint()).expect("MP3 analyses");
     let d3 = tg.buffer_by_name("d3").expect("d3 exists");
-    let padded = analysis.with_capacities(&tg, &[(d3, D3_WITH_HEADROOM)]);
-    let opts = mp3_fault_opts();
-    let offset =
-        conservative_offset(&tg, &analysis).expect("offset fits") + opts.validation.extra_offset;
-    let report = validate_assigned_capacities_under_faults(
-        &padded,
-        analysis.constraint(),
-        offset,
-        analysis.options().release,
+    let report = validate_capacities_under_faults(
+        &tg,
+        &analysis,
+        &[(d3, D3_WITH_HEADROOM)],
         &bounded_stall(),
-        &opts,
+        &mp3_fault_opts(),
     )
     .expect("battery runs");
     assert!(report.all_recovered(), "{report}");
@@ -204,7 +202,7 @@ fn mp3_exact_capacities_have_zero_fault_slack() {
     let tg = mp3_chain();
     let analysis = compute_buffer_capacities(&tg, mp3_constraint()).expect("MP3 analyses");
     let report =
-        validate_capacities_under_faults(&tg, &analysis, &bounded_stall(), &mp3_fault_opts())
+        validate_capacities_under_faults(&tg, &analysis, &[], &bounded_stall(), &mp3_fault_opts())
             .expect("battery runs");
     assert!(!report.all_recovered(), "{report}");
     for scenario in &report.scenarios {
@@ -228,17 +226,12 @@ fn under_provisioned_assignment_misses_before_the_fault_and_is_not_graded_recove
     let tg = mp3_chain();
     let analysis = compute_buffer_capacities(&tg, mp3_constraint()).expect("MP3 analyses");
     let d3 = tg.buffer_by_name("d3").expect("d3 exists");
-    let starved = analysis.with_capacities(&tg, &[(d3, 441)]);
-    let opts = mp3_fault_opts();
-    let offset =
-        conservative_offset(&tg, &analysis).expect("offset fits") + opts.validation.extra_offset;
-    let report = validate_assigned_capacities_under_faults(
-        &starved,
-        analysis.constraint(),
-        offset,
-        analysis.options().release,
+    let report = validate_capacities_under_faults(
+        &tg,
+        &analysis,
+        &[(d3, 441)],
         &bounded_stall(),
-        &opts,
+        &mp3_fault_opts(),
     )
     .expect("battery runs");
     assert!(!report.all_recovered(), "{report}");
@@ -274,8 +267,8 @@ fn endpoint_with_slack_recovers_with_a_bounded_miss_transient() {
         },
         recovery_firings: 8,
     };
-    let report =
-        validate_capacities_under_faults(&tg, &analysis, &faults, &opts).expect("battery runs");
+    let report = validate_capacities_under_faults(&tg, &analysis, &[], &faults, &opts)
+        .expect("battery runs");
     assert!(report.all_recovered(), "{report}");
     let recovered = report
         .scenarios
@@ -320,7 +313,7 @@ fn drop_retry_and_release_jitter_inject_and_are_graded() {
     // as a stall, distinct bookkeeping.
     let drops = FaultPlan::new().drop_retry("snk", 3, 1, 2);
     let report =
-        validate_capacities_under_faults(&tg, &analysis, &drops, &opts).expect("battery runs");
+        validate_capacities_under_faults(&tg, &analysis, &[], &drops, &opts).expect("battery runs");
     assert!(report.all_recovered(), "{report}");
     assert!(report
         .scenarios
@@ -330,8 +323,8 @@ fn drop_retry_and_release_jitter_inject_and_are_graded() {
     // Release jitter delays the deadline together with the release, so a
     // bounded jitter window alone never produces a miss.
     let jitter = FaultPlan::new().delay_releases(5, 3, rat(1, 2));
-    let report =
-        validate_capacities_under_faults(&tg, &analysis, &jitter, &opts).expect("battery runs");
+    let report = validate_capacities_under_faults(&tg, &analysis, &[], &jitter, &opts)
+        .expect("battery runs");
     assert!(report.all_recovered(), "{report}");
     for scenario in &report.scenarios {
         assert_eq!(scenario.report.faults_injected, 3, "{}", scenario.name);
@@ -345,13 +338,13 @@ fn malformed_fault_plans_are_typed_errors() {
     let opts = FaultValidationOptions::default();
 
     let unknown = FaultPlan::new().stall("vGONE", 0, 1, rat(1, 1));
-    match validate_capacities_under_faults(&tg, &analysis, &unknown, &opts) {
+    match validate_capacities_under_faults(&tg, &analysis, &[], &unknown, &opts) {
         Err(SimError::Analysis(e)) => assert!(e.to_string().contains("vGONE")),
         other => panic!("unknown task must be a typed error, got {other:?}"),
     }
 
     let negative = FaultPlan::new().stall("vSRC", 0, 1, rat(-1, 2));
-    match validate_capacities_under_faults(&tg, &analysis, &negative, &opts) {
+    match validate_capacities_under_faults(&tg, &analysis, &[], &negative, &opts) {
         Err(SimError::InvalidFault { detail }) => {
             assert!(detail.contains("non-negative"), "{detail}")
         }
@@ -433,6 +426,7 @@ fn tick_overflow_falls_back_to_the_reference_engine() {
     let result = validate_capacities_under_faults(
         &tg,
         &analysis,
+        &[],
         &faults,
         &FaultValidationOptions {
             validation: opts,
@@ -440,6 +434,22 @@ fn tick_overflow_falls_back_to_the_reference_engine() {
         },
     );
     assert!(matches!(result, Err(SimError::TickOverflow { .. })));
+}
+
+#[test]
+fn reference_engine_refuses_a_non_empty_fault_plan() {
+    let tg = mp3_chain();
+    let analysis = compute_buffer_capacities(&tg, mp3_constraint()).expect("MP3 analyses");
+    let sized = analysis.with_capacities(&tg, &[]);
+    let mut config = SimConfig::self_timed(mp3_constraint());
+    config.faults = bounded_stall();
+    match ReferenceSimulator::new(&sized, QuantumPlan::uniform(QuantumPolicy::Max), config) {
+        Err(SimError::InvalidFault { detail }) => {
+            assert!(detail.contains("reference engine"), "{detail}")
+        }
+        Err(e) => panic!("a fault plan on the reference engine must be InvalidFault, got {e}"),
+        Ok(_) => panic!("the reference engine must refuse a fault plan it cannot inject"),
+    }
 }
 
 #[test]

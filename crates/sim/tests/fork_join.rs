@@ -16,8 +16,7 @@ use vrdf_apps::synthetic::{random_dag, DagSpec};
 use vrdf_apps::{mp3_constraint, mp3_fork_join};
 use vrdf_core::{compute_buffer_capacities, QuantumSet, Rational, TaskGraph, ThroughputConstraint};
 use vrdf_sim::{
-    minimize_capacities, validate_assigned_capacities, validate_capacities, SearchOptions,
-    ValidationOptions,
+    minimize_capacities, validate_capacities, ScenarioRunner, SearchOptions, ValidationOptions,
 };
 
 fn quick_validation(firings: u64) -> ValidationOptions {
@@ -58,13 +57,15 @@ fn fork_join_underprovisioned_channel_misses_deadlines() {
     let dl = tg.buffer_by_name("dL").unwrap();
     // Well below the assigned 3263: one frame of containers.
     let probed = analysis.with_capacities(&tg, &[(dl, 1152)]);
-    let report = validate_assigned_capacities(
+    let report = ScenarioRunner::new(
         &probed,
         analysis.constraint(),
         vrdf_sim::conservative_offset(&tg, &analysis).expect("offset fits"),
         analysis.options().release,
         &quick_validation(8_000),
     )
+    .unwrap()
+    .validate(&[])
     .unwrap();
     assert!(!report.all_clear(), "under-provisioned dL must fail");
 }
@@ -104,13 +105,15 @@ fn minimization_converges_on_the_fork_join_dag() {
     assert_eq!(min_of("mL"), min_of("mR"), "{report}");
     // The reported assignment really holds operationally.
     let minimal: Vec<_> = report.edges.iter().map(|e| (e.buffer, e.minimal)).collect();
-    let revalidated = validate_assigned_capacities(
+    let revalidated = ScenarioRunner::new(
         &analysis.with_capacities(&tg, &minimal),
         analysis.constraint(),
         report.offset,
         analysis.options().release,
         &opts.validation,
     )
+    .unwrap()
+    .validate(&[])
     .unwrap();
     assert!(revalidated.all_clear(), "{revalidated}");
 }
@@ -171,13 +174,15 @@ fn independently_variable_join_quanta_admit_unfixable_scenarios() {
     // consumption set, where Eq. (4) holds at every horizon.
     for capacity in [10u64, 100, 1_000] {
         let generous: Vec<_> = tg.buffers().map(|(id, _)| (id, capacity)).collect();
-        let report = validate_assigned_capacities(
+        let report = ScenarioRunner::new(
             &analysis.with_capacities(&tg, &generous),
             constraint,
             vrdf_sim::conservative_offset(&tg, &analysis).expect("offset fits"),
             analysis.options().release,
             &quick_validation(10 * capacity),
         )
+        .unwrap()
+        .validate(&[])
         .unwrap();
         assert!(
             !report.all_clear(),

@@ -9,9 +9,7 @@
 
 use vrdf_apps::{mp3_chain, mp3_constraint, mp3_feedback, MP3_FEEDBACK_INITIAL_TOKENS};
 use vrdf_core::compute_buffer_capacities;
-use vrdf_sim::{
-    minimize_capacities, validate_assigned_capacities, SearchOptions, ValidationOptions,
-};
+use vrdf_sim::{minimize_capacities, ScenarioRunner, SearchOptions, ValidationOptions};
 
 fn search_options(firings: u64, threads: usize) -> SearchOptions {
     SearchOptions {
@@ -47,13 +45,15 @@ fn mp3_driver_lands_on_d3_881_and_880_violates() {
     // search used: 881 holds, 880 breaks.
     let verdict = |capacity: u64| {
         let probed = analysis.with_capacities(&tg, &[(d3, capacity)]);
-        validate_assigned_capacities(
+        ScenarioRunner::new(
             &probed,
             analysis.constraint(),
             report.offset,
             analysis.options().release,
             &opts.validation,
         )
+        .unwrap()
+        .validate(&[])
         .unwrap()
     };
     assert!(verdict(881).all_clear(), "881 on d3 still holds");

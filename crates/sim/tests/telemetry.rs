@@ -1,14 +1,14 @@
-//! Acceptance tests for the zero-overhead telemetry layer:
+//! Acceptance tests for the telemetry layer:
 //!
-//! 1. **Disabled bit-identity** — a plan built with
-//!    [`Telemetry::disabled()`] must be observably identical to the
-//!    uninstrumented tick engine (traces, violations, outcomes,
+//! 1. **Disabled bit-identity** — a tick-engine run with
+//!    [`SimConfig::telemetry`] off must be observably identical to the
+//!    hook-free reference engine (traces, violations, outcomes,
 //!    statistics, event counts) on the MP3 chain and seeded random
 //!    chain/DAG/cyclic corpora, mirroring the fault layer's zero-fault
 //!    differential in `tests/faults.rs`.
 //! 2. **Enabled passivity** — an instrumented run may add counters,
 //!    spans, and occupancy samples, but never changes the simulation
-//!    itself: every compared field equals the plain run, and the
+//!    itself: every compared field equals the reference run, and the
 //!    counters tie out against the report exactly.
 //! 3. **Battery passivity** — [`validate_capacities`] with telemetry on
 //!    reaches the same verdict, violations, and event counts as with it
@@ -21,9 +21,8 @@ use vrdf_apps::synthetic::{random_chain_of_length, random_dag, ChainSpec, DagSpe
 use vrdf_apps::{mp3_chain, mp3_constraint};
 use vrdf_core::{compute_buffer_capacities, TaskGraph, ThroughputConstraint};
 use vrdf_sim::{
-    conservative_offset, perfetto_trace, validate_capacities, FaultPlan, QuantumPlan,
-    QuantumPolicy, SimConfig, SimPlan, SimReport, Simulator, Telemetry, TraceLevel,
-    ValidationOptions,
+    conservative_offset, perfetto_trace, validate_capacities, QuantumPlan, QuantumPolicy,
+    ReferenceSimulator, SimConfig, SimPlan, SimReport, Simulator, TraceLevel, ValidationOptions,
 };
 
 /// Asserts two reports are bit-identical in every observable field.
@@ -53,8 +52,9 @@ fn assert_identical(gated: &SimReport, plain: &SimReport, context: &str) {
     }
 }
 
-/// Runs one scenario three ways — plain, disabled-telemetry, enabled —
-/// and cross-checks them.
+/// Runs one scenario three ways — the hook-free reference engine, the
+/// tick engine with telemetry off, and with it on — and cross-checks
+/// them.
 fn run_three_ways(tg: &TaskGraph, constraint: ThroughputConstraint, context: &str) {
     let analysis = compute_buffer_capacities(tg, constraint).expect("analysable graph");
     let mut sized = tg.clone();
@@ -75,18 +75,12 @@ fn run_three_ways(tg: &TaskGraph, constraint: ThroughputConstraint, context: &st
             config.trace = TraceLevel::All;
             let context = format!("{context}/{scenario}/periodic={periodic}");
 
-            let plain = Simulator::new(&sized, quanta.clone(), config.clone())
-                .expect("plain construction")
+            let plain = ReferenceSimulator::new(&sized, quanta.clone(), config.clone())
+                .expect("reference construction")
                 .run();
-            // Disabled telemetry through the fully general constructor —
-            // the exact code path the engine takes today.
-            let gated_plan = SimPlan::instrumented(
-                &sized,
-                config.clone(),
-                &FaultPlan::new(),
-                Telemetry::disabled(),
-            )
-            .expect("gated construction");
+            // Telemetry off (the default) — the code path every
+            // uninstrumented run takes.
+            let gated_plan = SimPlan::new(&sized, config.clone()).expect("gated construction");
             let mut state = gated_plan.state();
             let gated = gated_plan
                 .run(&mut state, &quanta)
@@ -100,7 +94,8 @@ fn run_three_ways(tg: &TaskGraph, constraint: ThroughputConstraint, context: &st
             );
 
             // Enabled telemetry is passive: same simulation, plus data.
-            let instrumented = Simulator::with_telemetry(&sized, quanta.clone(), config)
+            config.telemetry = true;
+            let instrumented = Simulator::new(&sized, quanta.clone(), config)
                 .expect("instrumented construction")
                 .run();
             assert_identical(&instrumented, &plain, &context);
@@ -225,7 +220,8 @@ fn golden_run() -> SimReport {
     let mut config = SimConfig::periodic(constraint, offset);
     config.max_endpoint_firings = 25;
     config.trace = TraceLevel::All;
-    Simulator::with_telemetry(&sized, QuantumPlan::uniform(QuantumPolicy::Max), config)
+    config.telemetry = true;
+    Simulator::new(&sized, QuantumPlan::uniform(QuantumPolicy::Max), config)
         .expect("instrumented construction")
         .run()
 }

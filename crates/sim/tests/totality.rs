@@ -293,6 +293,7 @@ fn every_entry_point_is_total_over_the_pathology_corpus() {
         let _ = validate_capacities_under_faults(
             &p.tg,
             &analysis,
+            &[],
             &faults,
             &FaultValidationOptions {
                 validation: quick_opts(),
