@@ -3,14 +3,16 @@
 //! Concrete workloads for tests and benchmarks: the paper's MP3 playback
 //! case study (Section 5), a fork/join variant of it (stereo demux →
 //! per-channel decoders → mux), and seeded generators of random feasible
-//! chains and fork/join DAGs for property-style cross-validation.
+//! chains and fork/join DAGs for property-style cross-validation.  The
+//! crate's one binary, `vrdf`, drives them from the command line
+//! (`vrdf minimize|baseline|faults|fleet`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use vrdf_core::{
-    AnalysisError, QuantumSet, RateAssignment, Rational, TaskGraph, ThroughputConstraint,
+    derive_rates, AnalysisError, QuantumSet, Rational, TaskGraph, ThroughputConstraint,
 };
 
 /// The buffer capacities published for the MP3 chain in Section 5, in
@@ -188,10 +190,11 @@ pub fn mp3_feedback() -> TaskGraph {
 }
 
 /// A bundled case study resolved by name: the graph, its throughput
-/// constraint, and the strings the drivers print.
+/// constraint, and the strings the `vrdf` subcommands print.
 ///
-/// One registry serves every driver (`minimize`, `baseline`, benches),
-/// so graph names, labels, and usage strings cannot drift between them.
+/// One registry serves the `vrdf` binary's `minimize`, `baseline` and
+/// `faults` subcommands and the benches, so graph names and labels
+/// cannot drift between them.
 #[derive(Clone, Debug)]
 pub struct CaseStudy {
     /// The canonical name (`"mp3"`, `"fork-join"`, `"mp3-feedback"`).
@@ -203,7 +206,7 @@ pub struct CaseStudy {
     /// Its throughput constraint.
     pub constraint: ThroughputConstraint,
     /// Capacities published in the paper, when the case study has them
-    /// (drivers assert the analysis reproduces these before reporting).
+    /// (`vrdf` checks the analysis reproduces these before reporting).
     pub published_capacities: Option<&'static [u64]>,
 }
 
@@ -277,13 +280,12 @@ pub mod synthetic {
             Rng(seed)
         }
 
-        /// The next pseudo-random word.
+        /// The next pseudo-random word: [`vrdf_sim::splitmix64`] of the
+        /// state, which then advances by the mixer's increment.
         pub fn next_u64(&mut self) -> u64 {
+            let word = vrdf_sim::splitmix64(self.0);
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = self.0;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
+            word
         }
 
         /// A value in `lo..=hi`.
@@ -476,9 +478,8 @@ pub mod synthetic {
         // Phase 1: a zero-response-time skeleton, to learn each task's
         // start-interval bound φ(v).
         let skeleton = build(n, &buffers, |_| Rational::ZERO)?;
-        let chain = skeleton.chain()?;
-        let rates = RateAssignment::derive(&skeleton, &chain, constraint)?;
-        let phis: Vec<Rational> = chain.tasks().iter().map(|&t| rates.phi(t)).collect();
+        let (_, rates) = derive_rates(&skeleton, constraint)?;
+        let phis: Vec<Rational> = skeleton.tasks().map(|(t, _)| rates.phi(t)).collect();
 
         // Phase 2: the real chain, each response time a random fraction
         // (0 to 1) of its bound — always feasible.  With a grid
@@ -778,50 +779,7 @@ pub mod synthetic {
     }
 }
 
-/// Shared command-line plumbing for the driver binaries (`minimize`,
-/// `baseline`, `faults`, `fleet`): one flag-value parser and one
-/// usage-error path with uniform reporting, instead of a hand-rolled
-/// copy per binary.
-pub mod cli {
-    use std::str::FromStr;
-
-    /// Parses the value of `flag`, exiting the process with status 2 and
-    /// a uniform `error:` line when the value is missing or malformed.
-    /// Drivers pass the iterator's next element directly:
-    /// `opts.threads = cli::parse(args.next(), "--threads")`.
-    pub fn parse<T: FromStr>(value: Option<String>, flag: &str) -> T {
-        match value.as_deref().map(str::parse) {
-            Some(Ok(v)) => v,
-            Some(Err(_)) => {
-                eprintln!(
-                    "error: {flag} got a malformed value {:?}",
-                    value.as_deref().unwrap_or_default()
-                );
-                std::process::exit(2);
-            }
-            None => {
-                eprintln!("error: {flag} requires a value");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The uniform path for an argument no flag matched: `-h` or
-    /// `--help` prints the usage line to stdout and exits with status 0;
-    /// anything else prints `error: unknown argument` and the usage line
-    /// to stderr and exits with status 2.
-    pub fn unknown_argument(arg: &str, usage: &str) -> ! {
-        if arg == "-h" || arg == "--help" {
-            println!("{usage}");
-            std::process::exit(0);
-        }
-        eprintln!("error: unknown argument `{arg}`");
-        eprintln!("{usage}");
-        std::process::exit(2);
-    }
-}
-
-/// Trace-export plumbing shared by the driver binaries' `--trace-out`
+/// Trace-export plumbing behind the `vrdf` binary's `--trace-out`
 /// flag: runs the graph fully instrumented (telemetry on, tracing at
 /// [`vrdf_sim::TraceLevel::All`]) under the all-max quantum scenario
 /// with the Eq. (4) capacities applied and the endpoint strictly
@@ -829,7 +787,7 @@ pub mod cli {
 /// Chrome-trace/Perfetto JSON ([`vrdf_sim::perfetto_trace`]), and
 /// writes it to `path`.
 ///
-/// Returns the instrumented run's report so drivers can surface firing
+/// Returns the instrumented run's report so callers can surface firing
 /// counts next to the file path.
 ///
 /// # Errors
@@ -864,7 +822,7 @@ pub fn export_trace(
     Ok(report)
 }
 
-/// The `--trace-out` endgame every driver shares: export the trace via
+/// The `--trace-out` endgame of every `vrdf` subcommand: export the trace via
 /// [`export_trace`] and report the destination on stderr (so stdout
 /// tables stay machine-diffable), or exit with status 1 on failure.
 pub fn write_trace(
@@ -890,7 +848,7 @@ pub fn write_trace(
     }
 }
 
-/// A mixed synthetic corpus for the `fleet` driver and the benches: random
+/// A mixed synthetic corpus for `vrdf fleet` and the benches: random
 /// chains, fixed-shape fork/joins, random DAGs, and cyclic
 /// (feedback-edge) graphs in round-robin order, every member generated
 /// on a bounded response-time grid so the tick engine accepts it.

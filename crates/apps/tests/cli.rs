@@ -1,18 +1,18 @@
-//! Every driver shares one argument path (`vrdf_apps::cli`): `-h` and
-//! `--help` print the usage line to stdout and exit 0, and an unknown
-//! flag prints an error plus the usage line to stderr and exits 2.
+//! The `vrdf` binary parses every subcommand from one flag table: `-h`
+//! and `--help` print the usage line to stdout and exit 0, and an
+//! unknown flag, a flag of another subcommand, a missing value or a
+//! malformed value prints an `error:` line to stderr and exits 2.  A
+//! missing or unknown subcommand exits 2 with every usage line.
 
 use std::process::Command;
 
-const DRIVERS: [(&str, &str); 4] = [
-    ("minimize", env!("CARGO_BIN_EXE_minimize")),
-    ("baseline", env!("CARGO_BIN_EXE_baseline")),
-    ("faults", env!("CARGO_BIN_EXE_faults")),
-    ("fleet", env!("CARGO_BIN_EXE_fleet")),
-];
+const SUBCOMMANDS: [&str; 4] = ["minimize", "baseline", "faults", "fleet"];
 
-fn run(binary: &str, arg: &str) -> (Option<i32>, String, String) {
-    let out = Command::new(binary).arg(arg).output().expect("driver runs");
+fn run(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_vrdf"))
+        .args(args)
+        .output()
+        .expect("vrdf runs");
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -22,32 +22,100 @@ fn run(binary: &str, arg: &str) -> (Option<i32>, String, String) {
 
 #[test]
 fn help_prints_the_usage_to_stdout_and_exits_zero() {
-    for (name, binary) in DRIVERS {
+    for name in SUBCOMMANDS {
         for flag in ["-h", "--help"] {
-            let (code, stdout, stderr) = run(binary, flag);
+            let (code, stdout, stderr) = run(&[name, flag]);
             assert_eq!(code, Some(0), "{name} {flag}: {stderr}");
             assert!(
-                stdout.starts_with(&format!("usage: {name} ")),
+                stdout.starts_with(&format!("usage: vrdf {name} ")),
                 "{name} {flag}: {stdout}"
             );
             assert!(stderr.is_empty(), "{name} {flag}: {stderr}");
+        }
+    }
+    let graphs = format!("[--graph {}]", vrdf_apps::CASE_STUDY_NAMES.join("|"));
+    for name in ["minimize", "baseline", "faults"] {
+        let (_, stdout, _) = run(&[name, "-h"]);
+        assert!(stdout.contains(&graphs), "{name}: {stdout}");
+    }
+    // Without a subcommand, help lists every subcommand's usage line.
+    for flag in ["-h", "--help"] {
+        let (code, stdout, stderr) = run(&[flag]);
+        assert_eq!(code, Some(0), "{flag}: {stderr}");
+        assert!(stderr.is_empty(), "{flag}: {stderr}");
+        for name in SUBCOMMANDS {
+            assert!(
+                stdout.contains(&format!("usage: vrdf {name} ")),
+                "{flag}: {stdout}"
+            );
         }
     }
 }
 
 #[test]
 fn an_unknown_flag_is_an_error_with_exit_code_two() {
-    for (name, binary) in DRIVERS {
-        let (code, stdout, stderr) = run(binary, "--no-such-flag");
-        assert_eq!(code, Some(2), "{name}: {stderr}");
-        assert!(stdout.is_empty(), "{name}: {stdout}");
+    let mut cases: Vec<Vec<&str>> = SUBCOMMANDS
+        .iter()
+        .map(|&name| vec![name, "--no-such-flag"])
+        .collect();
+    // A flag that only another subcommand takes is unknown here.
+    cases.push(vec!["fleet", "--graph", "mp3"]);
+    cases.push(vec!["minimize", "--batch", "8"]);
+    for args in cases {
+        let (name, flag) = (args[0], args[1]);
+        let (code, stdout, stderr) = run(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
         assert!(
-            stderr.contains("error: unknown argument `--no-such-flag`"),
-            "{name}: {stderr}"
+            stderr.contains(&format!("error: unknown argument `{flag}`")),
+            "{args:?}: {stderr}"
         );
         assert!(
-            stderr.contains(&format!("usage: {name} ")),
-            "{name}: {stderr}"
+            stderr.contains(&format!("usage: vrdf {name} ")),
+            "{args:?}: {stderr}"
         );
+    }
+}
+
+#[test]
+fn a_missing_or_unknown_subcommand_prints_the_top_level_usage() {
+    for args in [&[][..], &["no-such-subcommand"], &["--firings", "10"]] {
+        let (code, stdout, stderr) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        for name in SUBCOMMANDS {
+            assert!(
+                stderr.contains(&format!("usage: vrdf {name} ")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_missing_or_malformed_value_is_an_error_with_exit_code_two() {
+    for (args, error) in [
+        (
+            &["minimize", "--firings"][..],
+            "error: --firings requires a value\n",
+        ),
+        (
+            &["minimize", "--firings", "abc"],
+            "error: --firings got a malformed value \"abc\"\n",
+        ),
+        (
+            &["fleet", "--firings"],
+            "error: --firings requires a value\n",
+        ),
+        (
+            &["faults", "--firings", "abc"],
+            "error: --firings got a malformed value \"abc\"\n",
+        ),
+    ] {
+        let (code, stdout, stderr) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert_eq!(stderr, error, "{args:?}");
     }
 }

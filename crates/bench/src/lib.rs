@@ -4,7 +4,7 @@
 //! runners to stay dependency-free) and the `tables` binary that
 //! regenerates the paper's Section 5 table with a simulation cross-check.
 //!
-//! The fifteen benches are real measurements driving `vrdf-sim` and the
+//! The fourteen benches are real measurements driving `vrdf-sim` and the
 //! `vrdf-sdf` baseline.  Each follows the same shape: parse
 //! [`BenchOpts`] (`--smoke` collapses to one warmup and one iteration so
 //! CI can prove the bench still runs), measure with

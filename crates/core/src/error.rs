@@ -97,12 +97,6 @@ pub enum AnalysisError {
         /// The maximum admissible response time, `φ(v)`.
         bound: Rational,
     },
-    /// The forward and reverse edges of a buffer do not mirror each other
-    /// (`π(e_ab) = γ(e_ba)` and `γ(e_ab) = π(e_ba)` must hold, Section 3.3).
-    InconsistentBufferModel {
-        /// The buffer whose edge pair is malformed.
-        buffer: String,
-    },
     /// An intermediate of the exact rational analysis overflowed `i128`
     /// (e.g. response-time denominators compounding along the `φ`
     /// propagation of a very long chain).  The input is structurally
@@ -165,10 +159,6 @@ impl fmt::Display for AnalysisError {
                 f,
                 "no valid schedule exists: response time of `{actor}` is {response_time} but must not exceed {bound}"
             ),
-            AnalysisError::InconsistentBufferModel { buffer } => write!(
-                f,
-                "edge pair modelling buffer `{buffer}` is inconsistent: reverse-edge quanta must mirror forward-edge quanta"
-            ),
             AnalysisError::ArithmeticOverflow { context } => write!(
                 f,
                 "exact rational arithmetic overflowed i128 while computing {context}"
@@ -223,7 +213,6 @@ mod tests {
                 response_time: Rational::ONE,
                 bound: Rational::ZERO,
             },
-            AnalysisError::InconsistentBufferModel { buffer: "b".into() },
             AnalysisError::ArithmeticOverflow {
                 context: "phi propagation",
             },

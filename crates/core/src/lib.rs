@@ -60,22 +60,21 @@
 //! * [`quantum`] — finite quantum sets [`QuantumSet`] (`Pf(N)`).
 //! * [`taskgraph`] — the task model `T = (W, B, ξ, λ, κ, ζ)` and chain
 //!   validation.
-//! * [`graph`] — the VRDF analysis model `G = (V, E, π, γ, δ, ρ)` and its
-//!   construction from a task graph (two opposite edges per buffer).
 //! * [`rates`] — throughput constraints and `φ` propagation over chains.
 //! * [`bounds`] — linear transfer-time bounds (Eqs. 1–3) and the witness
 //!   existence schedules of Figs. 3–4.
 //! * [`capacity`] — the buffer-capacity algorithm (Eq. 4), feasibility
 //!   checks, and the producer–consumer pair shortcut.
 //! * [`obs`] — shared observability primitives: the coarse counter set
-//!   ([`CoreCounters`]) and hook trait every executor in the workspace
-//!   reports through when telemetry is enabled.
+//!   ([`CoreCounters`]) every executor in the workspace reports when
+//!   telemetry is enabled.
 //!
 //! The companion crates build on this one: `vrdf-sim` (discrete-event
 //! self-timed simulator used to verify sufficiency), `vrdf-sdf` (the
 //! native CSDF substrate — repetition vectors, state-space execution —
 //! computing the traditional baseline the paper compares against), and
-//! `vrdf-apps` (the MP3 chain and synthetic workloads).
+//! `vrdf-apps` (the MP3 chain, synthetic workloads and the `vrdf`
+//! command-line tool).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -84,7 +83,6 @@
 pub mod bounds;
 pub mod capacity;
 pub mod error;
-pub mod graph;
 pub mod obs;
 pub mod quantum;
 pub mod rates;
@@ -98,8 +96,7 @@ pub use capacity::{
     FeasibilityViolation, GraphAnalysis,
 };
 pub use error::AnalysisError;
-pub use graph::{Actor, ActorId, BufferEdges, Edge, EdgeId, ModelMapping, VrdfGraph};
-pub use obs::{CoreCounters, CounterSink};
+pub use obs::CoreCounters;
 pub use quantum::QuantumSet;
 pub use rates::{ConstraintLocation, PairTiming, RateAssignment, ThroughputConstraint};
 pub use rational::{rat, ParseRationalError, Rational};

@@ -1,15 +1,14 @@
-//! Shared observability primitives: the counter hook every executor in
-//! the workspace reports through.
+//! Shared observability primitives: the coarse counters every executor
+//! in the workspace reports.
 //!
 //! `vrdf-sim`'s tick engine and `vrdf-sdf`'s state-space executor run
 //! the same operational semantics, so their coarse activity counters
 //! share one vocabulary: events popped off the queue, firings started
 //! and finished, settling passes over the enable scan.  [`CoreCounters`]
-//! is that vocabulary as a plain-old-data struct, and [`CounterSink`] is
-//! the hook trait an instrumented executor increments through — both
-//! engines implement their gating the same way (`telemetry` off means
-//! no increment ever executes, so a disabled run is bit-identical to an
-//! uninstrumented one).
+//! is that vocabulary as a plain-old-data struct.  Every engine gates
+//! its increments the same way (`telemetry` off means no increment ever
+//! executes, so a disabled run is bit-identical to an uninstrumented
+//! one).
 //!
 //! Engine-specific counters (timing-wheel routing, dirty-bitmap sweeps,
 //! quantum-policy dispatches) extend this set downstream; see
@@ -45,50 +44,18 @@ impl CoreCounters {
     }
 }
 
-/// The hook an instrumented executor increments through.
-///
-/// Counter structs implement this so an engine can be generic over
-/// *where* its coarse counts land while keeping the increments plain
-/// integer adds.  The default implementations do nothing, which is also
-/// the disabled-telemetry behaviour.
-pub trait CounterSink {
-    /// One event was popped off the event queue.
-    fn on_event_popped(&mut self) {}
-    /// One firing started.
-    fn on_firing_started(&mut self) {}
-    /// One firing finished.
-    fn on_firing_finished(&mut self) {}
-    /// One settling pass over the enable scan completed.
-    fn on_settling_pass(&mut self) {}
-}
-
-impl CounterSink for CoreCounters {
-    fn on_event_popped(&mut self) {
-        self.events_popped += 1;
-    }
-    fn on_firing_started(&mut self) {
-        self.firings_started += 1;
-    }
-    fn on_firing_finished(&mut self) {
-        self.firings_finished += 1;
-    }
-    fn on_settling_pass(&mut self) {
-        self.settling_passes += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sink_increments_and_merge_sums() {
-        let mut a = CoreCounters::default();
-        a.on_event_popped();
-        a.on_event_popped();
-        a.on_firing_started();
-        a.on_firing_finished();
-        a.on_settling_pass();
+        let a = CoreCounters {
+            events_popped: 2,
+            firings_started: 1,
+            firings_finished: 1,
+            settling_passes: 1,
+        };
         let mut b = CoreCounters {
             events_popped: 3,
             firings_started: 1,

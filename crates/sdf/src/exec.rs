@@ -27,7 +27,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
-use vrdf_core::{ConstrainedRelease, CoreCounters, CounterSink, Rational, ThroughputConstraint};
+use vrdf_core::{ConstrainedRelease, CoreCounters, Rational, ThroughputConstraint};
 
 use crate::csdf::{ActorId, ChannelId, CsdfGraph};
 use crate::SdfError;
@@ -304,7 +304,7 @@ impl<'a> Executor<'a> {
         actor.busy_until = Some(finish);
         actor.started += 1;
         if self.opts.telemetry {
-            self.counters.on_firing_started();
+            self.counters.firings_started += 1;
         }
         self.seq += 1;
         self.heap.push(Reverse((finish, self.seq, a)));
@@ -334,7 +334,7 @@ impl<'a> Executor<'a> {
         actor.busy_until = None;
         actor.finished += 1;
         if self.opts.telemetry {
-            self.counters.on_firing_finished();
+            self.counters.firings_finished += 1;
         }
     }
 
@@ -356,7 +356,7 @@ impl<'a> Executor<'a> {
             let Reverse((_, _, a)) = self.heap.pop().expect("peeked");
             self.events += 1;
             if self.opts.telemetry {
-                self.counters.on_event_popped();
+                self.counters.events_popped += 1;
             }
             self.apply_finish(a);
             any = true;
@@ -391,7 +391,7 @@ impl<'a> Executor<'a> {
                 return Ok(());
             }
             if self.opts.telemetry {
-                self.counters.on_settling_pass();
+                self.counters.settling_passes += 1;
             }
         }
     }

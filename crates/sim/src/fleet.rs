@@ -328,7 +328,7 @@ pub struct FleetResult {
 }
 
 /// The headline numbers of a fleet run, computed once by
-/// [`FleetReport::summary`] so the `fleet` binary and the
+/// [`FleetReport::summary`] so `vrdf fleet` and the
 /// `fleet_scaling` bench read the same arithmetic instead of each
 /// re-deriving it.
 #[derive(Clone, Debug, PartialEq)]

@@ -15,8 +15,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use vrdf_core::{
-    BufferId, ConstrainedRelease, ConstraintLocation, CoreCounters, CounterSink, Rational,
-    TaskGraph, TaskId,
+    BufferId, ConstrainedRelease, ConstraintLocation, CoreCounters, Rational, TaskGraph, TaskId,
 };
 
 use crate::engine::{
@@ -112,8 +111,7 @@ pub struct ReferenceSimulator<'a> {
     /// gated like the tick engine's telemetry, so the default stays
     /// bit-identical to the pre-telemetry reference.
     telemetry: bool,
-    /// Coarse activity counters, reported through the shared
-    /// [`CounterSink`] hook; only touched when `telemetry` is on.
+    /// Coarse activity counters; only touched when `telemetry` is on.
     counters: CoreCounters,
 }
 
@@ -352,7 +350,7 @@ impl<'a> ReferenceSimulator<'a> {
             task.busy_time += rho;
         }
         if self.telemetry {
-            self.counters.on_firing_started();
+            self.counters.firings_started += 1;
         }
         self.push(finish, EventKind::Finish { task: pos });
 
@@ -413,7 +411,7 @@ impl<'a> ReferenceSimulator<'a> {
         task.busy = false;
         task.finished += 1;
         if self.telemetry {
-            self.counters.on_firing_finished();
+            self.counters.firings_finished += 1;
         }
     }
 
@@ -432,7 +430,7 @@ impl<'a> ReferenceSimulator<'a> {
                 return any;
             }
             if self.telemetry {
-                self.counters.on_settling_pass();
+                self.counters.settling_passes += 1;
             }
         }
     }
@@ -452,7 +450,7 @@ impl<'a> ReferenceSimulator<'a> {
             let event = self.heap.pop().expect("peeked");
             self.events_processed += 1;
             if self.telemetry {
-                self.counters.on_event_popped();
+                self.counters.events_popped += 1;
             }
             any = true;
             match event.kind {

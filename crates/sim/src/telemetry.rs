@@ -17,10 +17,10 @@
 //! * [`EngineCounters`] — cheap monotonic counters of the tick engine's
 //!   hot paths (events popped, firings, settling passes, dirty-bitmap
 //!   sweeps, timing-wheel vs overflow-heap routing, quantum-policy
-//!   dispatches).  The coarse subset shares vocabulary with
-//!   [`vrdf_core::CoreCounters`], which `vrdf-sdf`'s state-space
-//!   executor reports through.  Counter sums commute, so merged totals
-//!   are deterministic at every thread count.
+//!   dispatches).  Its first four fields carry the names of
+//!   [`vrdf_core::CoreCounters`], the coarse set the reference engine
+//!   and `vrdf-sdf`'s state-space executor count.  Counter sums commute,
+//!   so merged totals are deterministic at every thread count.
 //! * [`PhaseTimes`] — span-style wall-clock timing of the coarse phases
 //!   (plan build, reset, run, merge).
 //! * [`Histogram`] — a power-of-two-bucketed latency histogram for
@@ -29,13 +29,13 @@
 //!   (one track per task, one counter track per buffer's occupancy
 //!   samples) as Chrome-trace JSON loadable at <https://ui.perfetto.dev>.
 //!
-//! Human-readable output goes through [`MetricsSnapshot`], the table the
-//! CLIs print to stderr under `--metrics`.
+//! Human-readable output goes through [`MetricsSnapshot`], the table
+//! `vrdf minimize` and `vrdf faults` print to stderr under `--metrics`.
 
 use std::fmt;
 use std::time::Duration;
 
-use vrdf_core::{BufferId, CounterSink, Rational};
+use vrdf_core::{BufferId, Rational};
 
 use crate::engine::SimReport;
 
@@ -84,32 +84,6 @@ impl EngineCounters {
         self.policy_dispatches = self
             .policy_dispatches
             .saturating_add(other.policy_dispatches);
-    }
-
-    /// The engine-agnostic coarse subset, for comparison against
-    /// executors that only report [`vrdf_core::CoreCounters`].
-    pub fn coarse(&self) -> vrdf_core::CoreCounters {
-        vrdf_core::CoreCounters {
-            events_popped: self.events_popped,
-            firings_started: self.firings_started,
-            firings_finished: self.firings_finished,
-            settling_passes: self.settling_passes,
-        }
-    }
-}
-
-impl CounterSink for EngineCounters {
-    fn on_event_popped(&mut self) {
-        self.events_popped += 1;
-    }
-    fn on_firing_started(&mut self) {
-        self.firings_started += 1;
-    }
-    fn on_firing_finished(&mut self) {
-        self.firings_finished += 1;
-    }
-    fn on_settling_pass(&mut self) {
-        self.settling_passes += 1;
     }
 }
 
@@ -326,8 +300,8 @@ impl SearchMetrics {
     }
 }
 
-/// A human-readable metrics table: the `--metrics` output the CLI
-/// drivers print to stderr.
+/// A human-readable metrics table: the `--metrics` output `vrdf
+/// minimize` and `vrdf faults` print to stderr.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     title: String,
@@ -576,9 +550,7 @@ mod tests {
         a.merge(&a.clone());
         assert_eq!(a.events_popped, 2);
         assert_eq!(a.policy_dispatches, 16);
-        let coarse = a.coarse();
-        assert_eq!(coarse.events_popped, 2);
-        assert_eq!(coarse.settling_passes, 8);
+        assert_eq!(a.settling_passes, 8);
     }
 
     #[test]
