@@ -28,10 +28,13 @@
 //! running subcommand's rows, and its usage line lists them in table
 //! order.  `-h` prints that line to stdout and exits 0 (a bare `vrdf -h`
 //! prints all four); an unknown flag, a flag of another subcommand, a
-//! missing or malformed value, or a missing or unknown subcommand prints
-//! an `error:` line to stderr and exits 2.
+//! missing or malformed value, a value naming no graph or task, or a
+//! missing or unknown subcommand prints an `error:` line to stderr and
+//! exits 2; a value the library refuses prints its error as one
+//! `error:` line and exits 1.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::exit;
 use std::str::FromStr;
@@ -125,6 +128,12 @@ fn usage_error(message: &str, usage: &str) -> ! {
     exit(2);
 }
 
+/// Prints `error: {context}: {error}` to stderr and exits with status 1.
+fn fail(context: &str, error: impl Display) -> ! {
+    eprintln!("error: {context}: {error}");
+    exit(1);
+}
+
 /// The flags one subcommand was given, by name (a switch maps to `""`);
 /// a repeated flag keeps its last value.
 struct Args(BTreeMap<&'static str, String>);
@@ -199,10 +208,8 @@ fn analysed_case_study(args: &Args) -> (CaseStudy, GraphAnalysis) {
             "",
         );
     };
-    let analysis = compute_buffer_capacities(&study.graph, study.constraint).unwrap_or_else(|e| {
-        eprintln!("error: the Eq. (4) analysis failed: {e}");
-        exit(1);
-    });
+    let analysis = compute_buffer_capacities(&study.graph, study.constraint)
+        .unwrap_or_else(|e| fail("the Eq. (4) analysis failed", e));
     if let Some(published) = study.published_capacities {
         let computed: Vec<u64> = analysis.capacities().iter().map(|c| c.capacity).collect();
         if computed != published {
@@ -246,8 +253,8 @@ fn minimize(args: &Args) {
          ({} endpoint firings per scenario)",
         study.label, opts.validation.endpoint_firings
     );
-    let report =
-        minimize_capacities(&study.graph, &analysis, &opts).expect("the search constructs");
+    let report = minimize_capacities(&study.graph, &analysis, &opts)
+        .unwrap_or_else(|e| fail("the capacity search failed", e));
     print!("{report}");
     println!(
         "battery health: {} occupancy breaches, {} scenarios skipped (wall clock)",
@@ -312,7 +319,8 @@ fn baseline(args: &Args) {
     // Operational check: the sized constant-max lowering must sustain
     // the constraint in the state-space executor.
     let sized = baseline.sized_lowering(&study.graph);
-    let state = steady_state(&sized, study.constraint, &exec).expect("the sized lowering executes");
+    let state = steady_state(&sized, study.constraint, &exec)
+        .unwrap_or_else(|e| fail("the sized lowering does not execute", e));
     println!("steady state of the sized constant-max lowering: {state}");
     if let Some(c) = &state.counters {
         eprintln!("metrics: sdf executor");
@@ -334,7 +342,7 @@ fn baseline(args: &Args) {
         analysis.apply(&mut lowered);
         let report =
             minimize_sdf_capacities(&lowered, study.constraint, &SdfSearchOptions { exec })
-                .expect("the search executes");
+                .unwrap_or_else(|e| fail("the SDF capacity search failed", e));
         print!("{report}");
     }
 }
@@ -350,10 +358,38 @@ fn faults(args: &Args) {
     let headroom = args.get("--headroom").unwrap_or(441u64);
     let (study, analysis) = analysed_case_study(args);
 
+    // The task feeding the sink edge is the natural stall victim: its
+    // production quantum is the unit the sink-edge capacity is sized in.
+    let stall_task = stall_task.unwrap_or_else(|| match study.name {
+        "mp3" | "mp3-feedback" => "vSRC".to_owned(),
+        _ => "vMux".to_owned(),
+    });
+    if study.graph.task_by_name(&stall_task).is_none() {
+        let names: Vec<&str> = study.graph.tasks().map(|(_, t)| t.name()).collect();
+        usage_error(
+            &format!(
+                "unknown --stall-task `{stall_task}` (expected one of: {})",
+                names.join(", ")
+            ),
+            "",
+        );
+    }
+    let d3 = study
+        .graph
+        .buffer_by_name("d3")
+        .expect("the sink edge is d3");
+    let assigned = analysis.capacity_of(d3).expect("d3 is analysed").capacity;
+    let Some(padded) = assigned.checked_add(headroom) else {
+        usage_error(
+            &format!("--headroom {headroom} overflows d3's {assigned} containers"),
+            "",
+        );
+    };
+
     // A recovery verdict against a baseline that misses without any
     // fault would be meaningless, so pin the zero-fault battery first.
     let baseline = validate_capacities(&study.graph, &analysis, &opts.validation)
-        .expect("the battery constructs");
+        .unwrap_or_else(|e| fail("the zero-fault battery failed", e));
     if !baseline.all_clear() {
         eprintln!("error: the zero-fault Eq. (4) baseline failed validation:");
         eprint!("{baseline}");
@@ -364,12 +400,6 @@ fn faults(args: &Args) {
     }
     args.write_trace(&study.graph, study.constraint);
 
-    // The task feeding the sink edge is the natural stall victim: its
-    // production quantum is the unit the sink-edge capacity is sized in.
-    let stall_task = stall_task.unwrap_or_else(|| match study.name {
-        "mp3" | "mp3-feedback" => "vSRC".to_owned(),
-        _ => "vMux".to_owned(),
-    });
     let stall = Rational::new(stall_ms as i128, 1000);
     let faults = FaultPlan::new().stall(&stall_task, stall_firing, 1, stall);
     println!(
@@ -381,7 +411,7 @@ fn faults(args: &Args) {
     let battery = |header: &str, overrides: &[_]| {
         let report =
             validate_capacities_under_faults(&study.graph, &analysis, overrides, &faults, &opts)
-                .expect("the fault battery constructs");
+                .unwrap_or_else(|e| fail("the fault battery failed", e));
         println!("{header}");
         print!("{report}");
         println!("  peak transient backlog (occupancy/capacity):");
@@ -391,12 +421,6 @@ fn faults(args: &Args) {
         report
     };
     let exact = battery("\nexact Eq. (4) capacities:", &[]);
-
-    let d3 = study
-        .graph
-        .buffer_by_name("d3")
-        .expect("the sink edge is d3");
-    let padded = analysis.capacity_of(d3).expect("d3 is analysed").capacity + headroom;
     let with_headroom = battery(
         &format!("\nd3 + {headroom} containers of headroom ({padded} total):"),
         &[(d3, padded)],
@@ -430,10 +454,7 @@ fn fleet(args: &Args) {
     let batch = args.get("--batch").unwrap_or(64);
     let seed = args.get("--seed").unwrap_or(1);
 
-    let corpus = fleet_corpus(seed, batch).unwrap_or_else(|e| {
-        eprintln!("error: corpus generation failed: {e}");
-        exit(1);
-    });
+    let corpus = fleet_corpus(seed, batch).unwrap_or_else(|e| fail("corpus generation failed", e));
     if let Some(first) = corpus.first() {
         args.write_trace(&first.graph, first.constraint);
     }

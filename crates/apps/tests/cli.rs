@@ -2,7 +2,8 @@
 //! and `--help` print the usage line to stdout and exit 0, and an
 //! unknown flag, a flag of another subcommand, a missing value or a
 //! malformed value prints an `error:` line to stderr and exits 2.  A
-//! missing or unknown subcommand exits 2 with every usage line.
+//! missing or unknown subcommand exits 2 with every usage line.  A flag
+//! value the run cannot use is an `error:` line too, never a panic.
 
 use std::process::Command;
 
@@ -117,5 +118,30 @@ fn a_missing_or_malformed_value_is_an_error_with_exit_code_two() {
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stdout.is_empty(), "{args:?}: {stdout}");
         assert_eq!(stderr, error, "{args:?}");
+    }
+}
+
+#[test]
+fn a_value_the_run_cannot_use_is_an_error_not_a_panic() {
+    const HUGE: &str = "18446744073709551615";
+    let faults = |flag, value| ["faults", "--firings", "100", flag, value];
+    for (args, code, message) in [
+        // Usage errors: checked before anything prints or runs.
+        (
+            &faults("--stall-task", "nope")[..],
+            2,
+            "vBR, vMP3, vSRC, vDAC",
+        ),
+        (&faults("--headroom", HUGE), 2, "overflows d3"),
+        // Values the library refuses once the run is under way.
+        (&faults("--stall-ms", HUGE), 1, "tick clock"),
+        (&["baseline", "--max-events", "1"], 1, "budget exhausted"),
+    ] {
+        let (status, stdout, stderr) = run(args);
+        assert_eq!(status, Some(code), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(stderr.matches("error: ").count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(code == 1 || stdout.is_empty(), "{args:?}: {stdout}");
     }
 }

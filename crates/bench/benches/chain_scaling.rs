@@ -87,9 +87,9 @@ fn main() {
         );
     }
 
-    // The size-scaling regression, directly in the committed results: the
-    // largest chain's throughput over the smallest's.  A data-independent
-    // engine holds this near (or above) 1.0; a decaying one drags it down.
+    // The size-scaling regression in one row: the largest chain's
+    // throughput over the smallest's.  A data-independent engine holds
+    // this near (or above) 1.0; a decaying one drags it down.
     let &(tasks_small, eps_small) = throughputs.first().expect("at least one length");
     let &(tasks_large, eps_large) = throughputs.last().expect("at least one length");
     emit_summary(

@@ -114,8 +114,8 @@ fn main() {
         );
     }
 
-    // Shortest vs longest loop — the committed witness that per-event
-    // throughput does not decay with cycle length or token count.
+    // Shortest vs longest loop: per-event throughput should not decay
+    // with cycle length or token count.
     let &(loop_small, eps_small) = throughputs
         .iter()
         .min_by_key(|&&(tasks, _)| tasks)

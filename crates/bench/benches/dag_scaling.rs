@@ -102,8 +102,8 @@ fn main() {
         );
     }
 
-    // Smallest vs largest DAG by task count — the committed witness that
-    // per-event throughput does not decay with graph size.
+    // Smallest vs largest DAG by task count: per-event throughput should
+    // not decay with graph size.
     let &(tasks_small, eps_small) = throughputs
         .iter()
         .min_by_key(|&&(tasks, _)| tasks)

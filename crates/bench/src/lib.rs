@@ -4,8 +4,12 @@
 //! runners to stay dependency-free) and the `tables` binary that
 //! regenerates the paper's Section 5 table with a simulation cross-check.
 //!
-//! The fourteen benches are real measurements driving `vrdf-sim` and the
-//! `vrdf-sdf` baseline.  Each follows the same shape: parse
+//! The repository's benchmark is `perfbench/`: end-to-end and per-layer
+//! metrics of the three capacity tools, with checked answers.  The four
+//! benches here time what it does not: `mp3_simulation` runs the tick
+//! engine against the exact-`Rational` reference engine, and
+//! `chain_scaling`, `dag_scaling` and `cycle_scaling` track per-event
+//! cost against graph size.  Each follows the same shape: parse
 //! [`BenchOpts`] (`--smoke` collapses to one warmup and one iteration so
 //! CI can prove the bench still runs), measure with
 //! [`time_per_iteration`] — per-iteration samples, not one batch mean —
@@ -45,11 +49,6 @@ impl Measurement {
         assert!(!samples.is_empty(), "at least one sample");
         samples.sort_unstable();
         Measurement { sorted: samples }
-    }
-
-    /// The samples, sorted ascending.
-    pub fn samples(&self) -> &[Duration] {
-        &self.sorted
     }
 
     /// Number of samples.
@@ -200,7 +199,7 @@ fn parse_count(value: Option<String>, flag: &str) -> u32 {
 /// Extra metrics land as additional numeric fields.  Keys must be plain
 /// identifiers; values are rendered with enough precision to round-trip.
 pub fn json_line(bench: &str, case: &str, m: &Measurement, extra: &[(&str, f64)]) -> String {
-    let mut line = format!(
+    let line = format!(
         "{{\"bench\":\"{}\",\"case\":\"{}\",\"iterations\":{},\"median_ns\":{},\"p95_ns\":{},\"mean_ns\":{},\"min_ns\":{}",
         escape(bench),
         escape(case),
@@ -210,16 +209,7 @@ pub fn json_line(bench: &str, case: &str, m: &Measurement, extra: &[(&str, f64)]
         m.mean().as_nanos(),
         m.min().as_nanos(),
     );
-    for (key, value) in extra {
-        let rendered = if value.fract() == 0.0 && value.abs() < 1e15 {
-            format!("{value:.1}")
-        } else {
-            format!("{value}")
-        };
-        line.push_str(&format!(",\"{}\":{rendered}", escape(key)));
-    }
-    line.push('}');
-    line
+    close_with_extras(line, extra)
 }
 
 /// Prints the [`json_line`] for one case to stdout.
@@ -232,14 +222,25 @@ pub fn emit(bench: &str, case: &str, m: &Measurement, extra: &[(&str, f64)]) {
 ///
 /// Summary rows carry ratios computed across cases (e.g. the
 /// small-vs-large throughput ratio of a scaling bench) so a regression is
-/// visible in the committed results without post-processing; the `kind`
-/// field keeps them distinguishable from measured rows.
+/// visible in one run's output without post-processing; the `kind` field
+/// keeps them distinguishable from measured rows.
 pub fn summary_line(bench: &str, case: &str, extra: &[(&str, f64)]) -> String {
-    let mut line = format!(
+    let line = format!(
         "{{\"bench\":\"{}\",\"case\":\"{}\",\"kind\":\"summary\"",
         escape(bench),
         escape(case),
     );
+    close_with_extras(line, extra)
+}
+
+/// Prints the [`summary_line`] for one derived metric to stdout.
+pub fn emit_summary(bench: &str, case: &str, extra: &[(&str, f64)]) {
+    println!("{}", summary_line(bench, case, extra));
+}
+
+/// Appends the extra metrics to an open JSON object and closes it; an
+/// integral value keeps one decimal (`5.0`).
+fn close_with_extras(mut line: String, extra: &[(&str, f64)]) -> String {
     for (key, value) in extra {
         let rendered = if value.fract() == 0.0 && value.abs() < 1e15 {
             format!("{value:.1}")
@@ -250,11 +251,6 @@ pub fn summary_line(bench: &str, case: &str, extra: &[(&str, f64)]) -> String {
     }
     line.push('}');
     line
-}
-
-/// Prints the [`summary_line`] for one derived metric to stdout.
-pub fn emit_summary(bench: &str, case: &str, extra: &[(&str, f64)]) {
-    println!("{}", summary_line(bench, case, extra));
 }
 
 fn escape(s: &str) -> String {

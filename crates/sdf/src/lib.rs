@@ -33,9 +33,8 @@
 //!   derivation).
 //!
 //! The original **constant-max transformation** on task graphs survives
-//! unchanged ([`constant_max_abstraction`], [`constant_max_capacities`])
-//! — it feeds the executor and keeps the VRDF analysis comparable on
-//! already-constant graphs.
+//! unchanged ([`constant_max_abstraction`]) — it feeds the executor and
+//! keeps the VRDF analysis comparable on already-constant graphs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,9 +56,7 @@ pub use exec::{
     SdfMinimizationReport, SdfSearchOptions, SteadyState,
 };
 
-use vrdf_core::{
-    compute_buffer_capacities, AnalysisError, GraphAnalysis, TaskGraph, ThroughputConstraint,
-};
+use vrdf_core::{AnalysisError, TaskGraph};
 
 /// Rewrites every buffer's quantum sets to the singleton of their maxima,
 /// producing the constant-rate (SDF) abstraction of a variable-rate graph.
@@ -107,29 +104,10 @@ pub fn constant_max_abstraction(tg: &TaskGraph) -> Result<TaskGraph, AnalysisErr
     Ok(out)
 }
 
-/// Buffer capacities of the constant-max (SDF) abstraction under the
-/// **VRDF** analysis — the optimistic variant of the baseline.
-///
-/// On constant-rate graphs this coincides with the native
-/// [`analyze`]-on-[`lowering`](CsdfGraph::lower_constant_max) pipeline;
-/// on genuinely variable graphs it is *not* a sound abstraction (it
-/// assumes the maxima are always delivered), which is why the comparison
-/// column of the evaluation is [`baseline_capacities`] instead.
-///
-/// # Errors
-///
-/// Same as [`compute_buffer_capacities`].
-pub fn constant_max_capacities(
-    tg: &TaskGraph,
-    constraint: ThroughputConstraint,
-) -> Result<GraphAnalysis, AnalysisError> {
-    compute_buffer_capacities(&constant_max_abstraction(tg)?, constraint)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vrdf_core::{rat, QuantumSet, Rational};
+    use vrdf_core::{rat, QuantumSet};
 
     #[test]
     fn abstraction_is_constant_and_preserves_structure() {
@@ -246,40 +224,5 @@ mod tests {
             sdf.buffer(sdf.buffer_by_name("fl").unwrap()).capacity(),
             None
         );
-    }
-
-    #[test]
-    fn baseline_matches_vrdf_on_the_mp3_chain() {
-        // On chains both analyses are driven by the maximum quanta, so the
-        // MP3 capacities coincide — the distinction is admissibility, not
-        // the numbers.
-        let tg = vrdf_apps_free_mp3();
-        let constraint = ThroughputConstraint::on_sink(Rational::new(1, 44_100)).unwrap();
-        let baseline = constant_max_capacities(&tg, constraint).unwrap();
-        let caps: Vec<u64> = baseline.capacities().iter().map(|c| c.capacity).collect();
-        assert_eq!(caps, vec![6015, 3263, 882]);
-    }
-
-    /// A local copy of the MP3 chain (vrdf-sdf does not depend on
-    /// vrdf-apps; the dependency points the other way).
-    fn vrdf_apps_free_mp3() -> TaskGraph {
-        TaskGraph::linear_chain(
-            [
-                ("vBR", rat(512, 10_000)),
-                ("vMP3", rat(24, 1000)),
-                ("vSRC", rat(10, 1000)),
-                ("vDAC", rat(1, 44_100)),
-            ],
-            [
-                (
-                    "d1",
-                    QuantumSet::constant(2048),
-                    QuantumSet::range_inclusive(0, 960).unwrap(),
-                ),
-                ("d2", QuantumSet::constant(1152), QuantumSet::constant(480)),
-                ("d3", QuantumSet::constant(441), QuantumSet::constant(1)),
-            ],
-        )
-        .unwrap()
     }
 }

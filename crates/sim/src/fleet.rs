@@ -18,8 +18,8 @@
 //!   draw order), so [`FleetReport::results`] is bit-identical for every
 //!   worker count — the same invariant [`crate::validate_capacities`]
 //!   pins for scenario order.  Wall-clock timings
-//!   ([`FleetReport::latencies`], [`FleetReport::worker_jobs`]) are kept
-//!   *outside* the results so the invariant is a plain `==`.
+//!   ([`FleetReport::latencies`], [`FleetReport::worker_metrics`]) are
+//!   kept *outside* the results so the invariant is a plain `==`.
 //! * **Nested-parallelism rule** — the fleet owns the cores.  Inside a
 //!   fleet run every scenario battery is collapsed to a single thread
 //!   ([`FleetOptions::battery_options`], the oversubscription guard);
@@ -39,7 +39,7 @@
 //! minimization) — the dominant reuse win.  Plans are index-sized to one
 //! graph's shape, so heterogeneous corpora rebuild the plan per graph;
 //! that build is a few microseconds against millisecond-scale batteries
-//! (see the `sim_construction` bench).
+//! (perfbench's `sim.plan.us_per_build` on `fleet-validate`).
 
 use std::fmt;
 use std::str::FromStr;
@@ -327,10 +327,9 @@ pub struct FleetResult {
     pub outcome: JobOutcome,
 }
 
-/// The headline numbers of a fleet run, computed once by
-/// [`FleetReport::summary`] so `vrdf fleet` and the
-/// `fleet_scaling` bench read the same arithmetic instead of each
-/// re-deriving it.
+/// The headline numbers of a fleet run, computed in one place,
+/// [`FleetReport::summary`], which the report header and
+/// `vrdf fleet --metrics` both print.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetSummary {
     /// Corpus size (completed + skipped).
@@ -407,10 +406,9 @@ pub struct FleetReport {
     pub latencies: Vec<Duration>,
     /// Worker threads the pool actually ran.
     pub workers: usize,
-    /// Jobs each worker executed (sums to the corpus size; the split
-    /// varies run to run — only the merged `results` are pinned).
-    pub worker_jobs: Vec<usize>,
-    /// Per-worker shard telemetry, parallel to `worker_jobs`.
+    /// Per-worker shard telemetry, one entry per worker; the jobs sum to
+    /// the corpus size, but the split varies run to run — only the
+    /// merged `results` are pinned.
     pub worker_metrics: Vec<WorkerMetrics>,
     /// Wall time of the whole fleet run.
     pub elapsed: Duration,
@@ -420,11 +418,6 @@ impl FleetReport {
     /// `true` when every graph's job ran and came back clean.
     pub fn all_ok(&self) -> bool {
         self.results.iter().all(|r| r.outcome.ok())
-    }
-
-    /// Graphs whose job actually ran (anything but a wall-clock skip).
-    pub fn completed(&self) -> usize {
-        self.results.len() - self.skipped()
     }
 
     /// Graphs skipped by the fleet wall-clock budget.
@@ -443,46 +436,6 @@ impl FleetReport {
             .filter(|r| !r.outcome.ok() && r.outcome != JobOutcome::Skipped)
     }
 
-    /// Completed graphs per second of fleet wall time.
-    pub fn graphs_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.completed() as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Nearest-rank p95 of the per-graph job latencies (completed
-    /// graphs only); `None` when nothing completed.
-    pub fn p95_latency(&self) -> Option<Duration> {
-        self.latency_percentile(95.0)
-    }
-
-    /// Nearest-rank percentile of the per-graph job latencies
-    /// (completed graphs only), `p` in `(0, 100]`; `None` when nothing
-    /// completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` is outside `(0, 100]`.
-    pub fn latency_percentile(&self, p: f64) -> Option<Duration> {
-        assert!(p > 0.0 && p <= 100.0, "percentile must be in (0, 100]");
-        let mut ran: Vec<Duration> = self
-            .results
-            .iter()
-            .zip(&self.latencies)
-            .filter(|(r, _)| r.outcome != JobOutcome::Skipped)
-            .map(|(_, &d)| d)
-            .collect();
-        if ran.is_empty() {
-            return None;
-        }
-        ran.sort_unstable();
-        let rank = ((p / 100.0 * ran.len() as f64).ceil() as usize).clamp(1, ran.len());
-        Some(ran[rank - 1])
-    }
-
     /// Total simulated events across every job.
     pub fn events(&self) -> u64 {
         self.results.iter().map(|r| r.outcome.events()).sum()
@@ -491,12 +444,28 @@ impl FleetReport {
     /// The headline numbers (throughput, p95 latency, outcome
     /// histogram), computed in one place.
     pub fn summary(&self) -> FleetSummary {
+        // Job latencies of the graphs that ran (a wall-clock skip has
+        // none), for the throughput and the nearest-rank p95.
+        let mut ran: Vec<Duration> = self
+            .results
+            .iter()
+            .zip(&self.latencies)
+            .filter(|(r, _)| r.outcome != JobOutcome::Skipped)
+            .map(|(_, &d)| d)
+            .collect();
+        ran.sort_unstable();
+        let secs = self.elapsed.as_secs_f64();
+        let rank = (0.95 * ran.len() as f64).ceil() as usize;
         FleetSummary {
             graphs: self.results.len(),
             workers: self.workers,
             elapsed: self.elapsed,
-            graphs_per_sec: self.graphs_per_sec(),
-            p95_latency: self.p95_latency(),
+            graphs_per_sec: if secs > 0.0 {
+                ran.len() as f64 / secs
+            } else {
+                0.0
+            },
+            p95_latency: ran.get(rank.saturating_sub(1)).copied(),
             ok: self.results.iter().filter(|r| r.outcome.ok()).count(),
             failed: self.failures().count(),
             skipped: self.skipped(),
@@ -634,7 +603,6 @@ pub fn run_fleet(corpus: &[FleetItem], opts: &FleetOptions) -> FleetReport {
         results,
         latencies,
         workers,
-        worker_jobs: worker_metrics.iter().map(|m| m.jobs).collect(),
         worker_metrics,
         elapsed,
     }
@@ -692,9 +660,10 @@ mod tests {
         let report = run_fleet(&[], &quick_options(FleetJob::Validate));
         assert!(report.results.is_empty());
         assert!(report.all_ok());
-        assert_eq!(report.completed(), 0);
-        assert_eq!(report.graphs_per_sec(), 0.0);
-        assert_eq!(report.p95_latency(), None);
+        let summary = report.summary();
+        assert_eq!(summary.graphs - summary.skipped, 0);
+        assert_eq!(summary.graphs_per_sec, 0.0);
+        assert_eq!(summary.p95_latency, None);
     }
 
     #[test]
@@ -713,30 +682,26 @@ mod tests {
         ];
         let report = run_fleet(&corpus, &quick_options(FleetJob::Validate));
         assert!(report.all_ok(), "{report}");
-        assert_eq!(report.completed(), 2);
-        assert!(report.events() > 0);
-        assert!(report.p95_latency().is_some());
-        assert_eq!(report.worker_jobs.iter().sum::<usize>(), 2);
-        assert!(report.to_string().contains("fleet validate"));
-        // The summary is the same arithmetic the report exposes
-        // piecemeal, and the Display header renders it verbatim.
         let summary = report.summary();
+        assert_eq!(summary.graphs - summary.skipped, 2);
+        assert!(report.events() > 0);
+        assert!(summary.p95_latency.is_some());
+        assert!(report.to_string().contains("fleet validate"));
+        // The summary is the report's own arithmetic — completed graphs
+        // over the wall time, the nearest-rank p95 of two latencies is
+        // the slower one — and the Display header renders it verbatim.
         assert_eq!(summary.graphs, 2);
         assert_eq!(summary.ok, 2);
         assert_eq!(summary.failed, 0);
         assert_eq!(summary.skipped, 0);
-        assert_eq!(summary.graphs_per_sec, report.graphs_per_sec());
-        assert_eq!(summary.p95_latency, report.p95_latency());
+        assert_eq!(summary.graphs_per_sec, 2.0 / report.elapsed.as_secs_f64());
+        assert_eq!(summary.p95_latency, report.latencies.iter().max().copied());
         assert!(report.to_string().contains(&summary.to_string()));
-        // Worker metrics cover the whole corpus and agree with the
-        // per-shard job counts.
+        // Worker metrics cover the whole corpus: every graph is one job
+        // of one worker.
         assert_eq!(
-            report
-                .worker_metrics
-                .iter()
-                .map(|m| m.jobs)
-                .collect::<Vec<_>>(),
-            report.worker_jobs
+            report.worker_metrics.iter().map(|m| m.jobs).sum::<usize>(),
+            2
         );
         assert_eq!(report.worker_metrics.iter().map(|m| m.ok).sum::<usize>(), 2);
         for m in &report.worker_metrics {
@@ -756,11 +721,11 @@ mod tests {
         };
         let report = run_fleet(&corpus, &opts);
         assert_eq!(report.skipped(), 2);
-        assert_eq!(report.completed(), 0);
+        let summary = report.summary();
+        assert_eq!(summary.graphs - summary.skipped, 0);
         assert!(!report.all_ok());
         assert_eq!(report.failures().count(), 0, "skips are not failures");
         assert!(report.to_string().contains("skipped (fleet wall clock)"));
-        let summary = report.summary();
         assert_eq!(summary.skipped, 2);
         assert_eq!(summary.ok + summary.failed, 0);
         assert_eq!(

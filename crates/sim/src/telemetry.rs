@@ -9,8 +9,8 @@
 //! `tests/telemetry.rs` pins that it is bit-identical to the hook-free
 //! reference engine on the MP3 chain and the random chain/DAG/cyclic
 //! corpora.  The gating's wall-clock cost has not been measured against
-//! a revision without the hooks; the `hook_overhead` bench times hooks
-//! off against telemetry on and a striking fault.
+//! a revision without the hooks; perfbench's `trace.overhead_ratio`
+//! gives the cost of running with telemetry on.
 //!
 //! The layer has four pieces:
 //!
@@ -128,13 +128,15 @@ impl PhaseTimes {
     }
 }
 
-/// A power-of-two-bucketed latency histogram: bucket `i` holds samples
-/// with `2^(i-1) < ns ≤ 2^i`.
+/// A power-of-two-bucketed latency histogram: a sample lands in the
+/// bucket of its bit length, so bucket `i` holds `2^(i-1) ≤ ns < 2^i`
+/// (bucket 0 holds `0 ns`; the last one also everything above).
 ///
 /// Constant-size, allocation-free, and mergeable — the shape the fleet
 /// and the probe loop can afford to keep per worker.  Percentiles are
-/// resolved to the upper bound of the containing bucket (≤ 2× off by
-/// construction); `min`/`max` are exact.
+/// resolved to the bucket's upper bound `2^i`, clamped to the exact
+/// `max` (≤ 2× off by construction: an exact power of two reports twice
+/// itself); `min`/`max` are exact.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; 64],
@@ -577,6 +579,15 @@ mod tests {
         assert_eq!(other.count(), 5);
         assert_eq!(other.min(), Some(Duration::from_nanos(50)));
         assert_eq!(other.max(), Some(Duration::from_nanos(100_000)));
+
+        // Bucket edges: an exact power of two opens its bucket, so 63 ns
+        // resolves to 64 ns but 64 ns to 128 ns.
+        for (ns, p50) in [(63, 64), (64, 128)] {
+            let mut edge = Histogram::new();
+            edge.record(Duration::from_nanos(ns));
+            edge.record(Duration::from_nanos(1_000));
+            assert_eq!(edge.percentile(50.0), Some(Duration::from_nanos(p50)));
+        }
     }
 
     #[test]

@@ -132,7 +132,7 @@ fn fleet_results_are_identical_for_every_worker_count() {
                 "job {job}, workers {workers}: merged results must be bit-identical"
             );
             assert_eq!(
-                report.worker_jobs.iter().sum::<usize>(),
+                report.worker_metrics.iter().map(|m| m.jobs).sum::<usize>(),
                 corpus.len(),
                 "every graph is executed exactly once"
             );
