@@ -275,11 +275,11 @@ fn minimize(args: &Args) {
 }
 
 fn baseline(args: &Args) {
-    let defaults = ExecOptions::default();
     let exec = ExecOptions {
-        max_events: args.get("--max-events").unwrap_or(defaults.max_events),
+        max_events: args
+            .get("--max-events")
+            .unwrap_or(ExecOptions::default().max_events),
         telemetry: args.has("--metrics"),
-        ..defaults
     };
     let (study, vrdf) = analysed_case_study(args);
     let baseline = baseline_capacities(&study.graph, study.constraint)

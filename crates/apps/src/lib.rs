@@ -856,8 +856,9 @@ pub fn write_trace(
 ///
 /// # Errors
 ///
-/// Propagates [`AnalysisError`] from the generators (none of the specs
-/// used here produce infeasible graphs in practice).
+/// [`AnalysisError::ArithmeticOverflow`] when `count` graphs cannot be
+/// reserved; otherwise propagates [`AnalysisError`] from the generators
+/// (none of the specs used here produce infeasible graphs in practice).
 pub fn fleet_corpus(seed: u64, count: usize) -> Result<Vec<vrdf_sim::FleetItem>, AnalysisError> {
     let chain_spec = synthetic::ChainSpec {
         rho_grid_subdivision: Some(1024),
@@ -874,7 +875,12 @@ pub fn fleet_corpus(seed: u64, count: usize) -> Result<Vec<vrdf_sim::FleetItem>,
     let chain_lens = [4usize, 6, 9, 13];
     let fork_shapes = [(2usize, 2usize), (3, 2), (2, 4), (4, 3)];
 
-    let mut corpus = Vec::with_capacity(count);
+    let mut corpus = Vec::new();
+    corpus
+        .try_reserve_exact(count)
+        .map_err(|_| AnalysisError::ArithmeticOverflow {
+            context: "the corpus size",
+        })?;
     for i in 0..count {
         let seed = seed.wrapping_add(i as u64);
         let variant = i / 4 % 4;

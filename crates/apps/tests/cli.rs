@@ -136,6 +136,7 @@ fn a_value_the_run_cannot_use_is_an_error_not_a_panic() {
         // Values the library refuses once the run is under way.
         (&faults("--stall-ms", HUGE), 1, "tick clock"),
         (&["baseline", "--max-events", "1"], 1, "budget exhausted"),
+        (&["fleet", "--batch", HUGE], 1, "corpus size"),
     ] {
         let (status, stdout, stderr) = run(args);
         assert_eq!(status, Some(code), "{args:?}: {stderr}");

@@ -10,7 +10,7 @@
 //! ```
 
 use vrdf_apps::synthetic::{random_chain_of_length, ChainSpec};
-use vrdf_bench::{emit, emit_summary, time_per_iteration, BenchOpts};
+use vrdf_bench::{emit, time_per_iteration, BenchOpts};
 use vrdf_core::compute_buffer_capacities;
 use vrdf_sim::{QuantumPlan, QuantumPolicy, SimConfig, Simulator};
 
@@ -30,7 +30,6 @@ fn main() {
         ..ChainSpec::default()
     };
     let firings = opts.scale(2_000, 50);
-    let mut throughputs: Vec<(usize, f64)> = Vec::new();
 
     for &len in lengths {
         let (tg, constraint) =
@@ -74,7 +73,6 @@ fn main() {
             std::hint::black_box(report.events_processed);
         });
         let events_per_sec = events / sim_m.median().as_secs_f64();
-        throughputs.push((len, events_per_sec));
         emit(
             "chain_scaling",
             &format!("sim-len-{len}"),
@@ -86,21 +84,4 @@ fn main() {
             ],
         );
     }
-
-    // The size-scaling regression in one row: the largest chain's
-    // throughput over the smallest's.  A data-independent engine holds
-    // this near (or above) 1.0; a decaying one drags it down.
-    let &(tasks_small, eps_small) = throughputs.first().expect("at least one length");
-    let &(tasks_large, eps_large) = throughputs.last().expect("at least one length");
-    emit_summary(
-        "chain_scaling",
-        "throughput-ratio",
-        &[
-            ("tasks_small", tasks_small as f64),
-            ("tasks_large", tasks_large as f64),
-            ("events_per_sec_small", eps_small),
-            ("events_per_sec_large", eps_large),
-            ("ratio_large_over_small", eps_large / eps_small),
-        ],
-    );
 }

@@ -14,7 +14,7 @@
 //! ```
 
 use vrdf_apps::synthetic::{fork_join_of, DagSpec};
-use vrdf_bench::{emit, emit_summary, time_per_iteration, BenchOpts};
+use vrdf_bench::{emit, time_per_iteration, BenchOpts};
 use vrdf_core::compute_buffer_capacities;
 use vrdf_sim::{QuantumPlan, QuantumPolicy, SimConfig, Simulator};
 
@@ -43,7 +43,6 @@ fn main() {
         ..DagSpec::default()
     };
     let firings = opts.scale(2_000, 50);
-    let mut throughputs: Vec<(usize, f64)> = Vec::new();
 
     for &(depth, headroom) in grid {
         let spec = DagSpec {
@@ -99,7 +98,6 @@ fn main() {
             std::hint::black_box(report.events_processed);
         });
         let events_per_sec = events / sim_m.median().as_secs_f64();
-        throughputs.push((tasks, events_per_sec));
         emit(
             "cycle_scaling",
             &format!("sim-{case}"),
@@ -113,26 +111,4 @@ fn main() {
             ],
         );
     }
-
-    // Shortest vs longest loop: per-event throughput should not decay
-    // with cycle length or token count.
-    let &(loop_small, eps_small) = throughputs
-        .iter()
-        .min_by_key(|&&(tasks, _)| tasks)
-        .expect("at least one case");
-    let &(loop_large, eps_large) = throughputs
-        .iter()
-        .max_by_key(|&&(tasks, _)| tasks)
-        .expect("at least one case");
-    emit_summary(
-        "cycle_scaling",
-        "throughput-ratio",
-        &[
-            ("loop_small", loop_small as f64),
-            ("loop_large", loop_large as f64),
-            ("events_per_sec_small", eps_small),
-            ("events_per_sec_large", eps_large),
-            ("ratio_large_over_small", eps_large / eps_small),
-        ],
-    );
 }

@@ -12,7 +12,7 @@
 //! ```
 
 use vrdf_apps::synthetic::{fork_join_of, DagSpec};
-use vrdf_bench::{emit, emit_summary, time_per_iteration, BenchOpts};
+use vrdf_bench::{emit, time_per_iteration, BenchOpts};
 use vrdf_core::compute_buffer_capacities;
 use vrdf_sim::{QuantumPlan, QuantumPolicy, SimConfig, Simulator};
 
@@ -37,7 +37,6 @@ fn main() {
         ..DagSpec::default()
     };
     let firings = opts.scale(2_000, 50);
-    let mut throughputs: Vec<(usize, f64)> = Vec::new();
 
     for &(width, depth) in grid {
         let (tg, constraint) =
@@ -87,7 +86,6 @@ fn main() {
             std::hint::black_box(report.events_processed);
         });
         let events_per_sec = events / sim_m.median().as_secs_f64();
-        throughputs.push((tasks, events_per_sec));
         emit(
             "dag_scaling",
             &format!("sim-{case}"),
@@ -101,26 +99,4 @@ fn main() {
             ],
         );
     }
-
-    // Smallest vs largest DAG by task count: per-event throughput should
-    // not decay with graph size.
-    let &(tasks_small, eps_small) = throughputs
-        .iter()
-        .min_by_key(|&&(tasks, _)| tasks)
-        .expect("at least one case");
-    let &(tasks_large, eps_large) = throughputs
-        .iter()
-        .max_by_key(|&&(tasks, _)| tasks)
-        .expect("at least one case");
-    emit_summary(
-        "dag_scaling",
-        "throughput-ratio",
-        &[
-            ("tasks_small", tasks_small as f64),
-            ("tasks_large", tasks_large as f64),
-            ("events_per_sec_small", eps_small),
-            ("events_per_sec_large", eps_large),
-            ("ratio_large_over_small", eps_large / eps_small),
-        ],
-    );
 }

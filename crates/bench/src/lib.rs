@@ -13,8 +13,7 @@
 //! [`BenchOpts`] (`--smoke` collapses to one warmup and one iteration so
 //! CI can prove the bench still runs), measure with
 //! [`time_per_iteration`] — per-iteration samples, not one batch mean —
-//! and report one machine-readable JSON line per case via [`emit`],
-//! plus cross-case derived metrics via [`emit_summary`].
+//! and report one machine-readable JSON line per case via [`emit`].
 //!
 //! Run one locally:
 //!
@@ -199,7 +198,7 @@ fn parse_count(value: Option<String>, flag: &str) -> u32 {
 /// Extra metrics land as additional numeric fields.  Keys must be plain
 /// identifiers; values are rendered with enough precision to round-trip.
 pub fn json_line(bench: &str, case: &str, m: &Measurement, extra: &[(&str, f64)]) -> String {
-    let line = format!(
+    let mut line = format!(
         "{{\"bench\":\"{}\",\"case\":\"{}\",\"iterations\":{},\"median_ns\":{},\"p95_ns\":{},\"mean_ns\":{},\"min_ns\":{}",
         escape(bench),
         escape(case),
@@ -209,38 +208,6 @@ pub fn json_line(bench: &str, case: &str, m: &Measurement, extra: &[(&str, f64)]
         m.mean().as_nanos(),
         m.min().as_nanos(),
     );
-    close_with_extras(line, extra)
-}
-
-/// Prints the [`json_line`] for one case to stdout.
-pub fn emit(bench: &str, case: &str, m: &Measurement, extra: &[(&str, f64)]) {
-    println!("{}", json_line(bench, case, m, extra));
-}
-
-/// Formats one derived-metric line with no timing columns:
-/// `{"bench":…,"case":…,"kind":"summary",<extra>}`.
-///
-/// Summary rows carry ratios computed across cases (e.g. the
-/// small-vs-large throughput ratio of a scaling bench) so a regression is
-/// visible in one run's output without post-processing; the `kind` field
-/// keeps them distinguishable from measured rows.
-pub fn summary_line(bench: &str, case: &str, extra: &[(&str, f64)]) -> String {
-    let line = format!(
-        "{{\"bench\":\"{}\",\"case\":\"{}\",\"kind\":\"summary\"",
-        escape(bench),
-        escape(case),
-    );
-    close_with_extras(line, extra)
-}
-
-/// Prints the [`summary_line`] for one derived metric to stdout.
-pub fn emit_summary(bench: &str, case: &str, extra: &[(&str, f64)]) {
-    println!("{}", summary_line(bench, case, extra));
-}
-
-/// Appends the extra metrics to an open JSON object and closes it; an
-/// integral value keeps one decimal (`5.0`).
-fn close_with_extras(mut line: String, extra: &[(&str, f64)]) -> String {
     for (key, value) in extra {
         let rendered = if value.fract() == 0.0 && value.abs() < 1e15 {
             format!("{value:.1}")
@@ -251,6 +218,11 @@ fn close_with_extras(mut line: String, extra: &[(&str, f64)]) -> String {
     }
     line.push('}');
     line
+}
+
+/// Prints the [`json_line`] for one case to stdout.
+pub fn emit(bench: &str, case: &str, m: &Measurement, extra: &[(&str, f64)]) {
+    println!("{}", json_line(bench, case, m, extra));
 }
 
 fn escape(s: &str) -> String {
@@ -320,19 +292,5 @@ mod tests {
         assert!(line.contains("\"speedup\":5.0"));
         // Quotes in names are escaped.
         assert!(json_line("a\"b", "c", &m, &[]).contains("a\\\"b"));
-    }
-
-    #[test]
-    fn summary_line_has_kind_and_no_timing_columns() {
-        let line = summary_line(
-            "chain_scaling",
-            "throughput-ratio",
-            &[("tasks_small", 4.0), ("ratio", 1.1789)],
-        );
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"kind\":\"summary\""));
-        assert!(line.contains("\"tasks_small\":4.0"));
-        assert!(line.contains("\"ratio\":1.1789"));
-        assert!(!line.contains("median_ns"));
     }
 }

@@ -26,7 +26,8 @@
 //! to `vτ` freeing containers at its firing *start* (its response time is
 //! still used for the validity check).  Both conventions are implemented —
 //! see [`ConstrainedRelease`]; the default reproduces the paper's table,
-//! and EXPERIMENTS.md discusses the one-container difference.
+//! and `crates/core/tests/mp3_case_study.rs` pins the one-container
+//! difference (`d3` = 883 under [`ConstrainedRelease::AfterResponseTime`]).
 
 use crate::bounds::PairGaps;
 use crate::error::AnalysisError;
@@ -215,6 +216,8 @@ impl GraphAnalysis {
 /// * [`AnalysisError::ZeroQuantumNotSupported`] from rate derivation.
 /// * [`AnalysisError::InfeasibleResponseTime`] when a response time
 ///   exceeds `φ(v)`.
+/// * [`AnalysisError::ArithmeticOverflow`] when the rate walk or an
+///   Eq. (1)–(4) value leaves the range of the exact arithmetic.
 ///
 /// # Examples
 ///
@@ -359,29 +362,24 @@ fn assemble(
             effective_rho(consumer),
             buffer.production().max(),
             buffer.consumption().max(),
-        );
-        let overflow = |context: &'static str| AnalysisError::ArithmeticOverflow { context };
+        )?;
         // A feedback edge starts with δ0 full containers; the capacity is
         // Eq. (4) — room for the worst-case in-flight production — plus
         // that pre-filled footprint.  Forward buffers carry δ0 = 0.
         let capacity = gaps
-            .checked_sufficient_initial_tokens()
-            .and_then(|eq4| eq4.checked_add(buffer.initial_tokens()))
-            .ok_or_else(|| overflow("the Eq. 4 capacity"))?;
+            .sufficient_initial_tokens()
+            .checked_add(buffer.initial_tokens())
+            .ok_or(AnalysisError::ArithmeticOverflow {
+                context: "the Eq. 4 capacity",
+            })?;
         capacities.push(BufferCapacity {
             buffer: pair.buffer,
             name: buffer.name().to_owned(),
             capacity,
             token_period: gaps.token_period(),
-            producer_gap: gaps
-                .checked_producer_gap()
-                .ok_or_else(|| overflow("the producer bound distance (Eq. 1)"))?,
-            consumer_gap: gaps
-                .checked_consumer_gap()
-                .ok_or_else(|| overflow("the consumer bound distance (Eq. 2)"))?,
-            total_gap: gaps
-                .checked_total_gap()
-                .ok_or_else(|| overflow("the reverse-edge bound distance (Eq. 3)"))?,
+            producer_gap: gaps.producer_gap(),
+            consumer_gap: gaps.consumer_gap(),
+            total_gap: gaps.total_gap(),
             producer_phi: pair.producer_phi,
             consumer_phi: pair.consumer_phi,
             producer_max_quantum: buffer.production().max(),

@@ -97,9 +97,10 @@ pub enum AnalysisError {
         /// The maximum admissible response time, `φ(v)`.
         bound: Rational,
     },
-    /// An intermediate of the exact rational analysis overflowed `i128`
-    /// (e.g. response-time denominators compounding along the `φ`
-    /// propagation of a very long chain).  The input is structurally
+    /// An intermediate of the exact analysis overflowed its integer type
+    /// (e.g. response-time denominators compounding past `i128` along the
+    /// `φ` propagation of a very long chain, an Eq. (4) capacity past
+    /// `u64`, or a corpus too large to size).  The input is structurally
     /// valid but numerically out of range for the exact arithmetic.
     ArithmeticOverflow {
         /// What was being computed when the overflow occurred.
@@ -159,10 +160,9 @@ impl fmt::Display for AnalysisError {
                 f,
                 "no valid schedule exists: response time of `{actor}` is {response_time} but must not exceed {bound}"
             ),
-            AnalysisError::ArithmeticOverflow { context } => write!(
-                f,
-                "exact rational arithmetic overflowed i128 while computing {context}"
-            ),
+            AnalysisError::ArithmeticOverflow { context } => {
+                write!(f, "exact arithmetic overflowed while computing {context}")
+            }
         }
     }
 }

@@ -61,8 +61,9 @@
 //! * [`taskgraph`] — the task model `T = (W, B, ξ, λ, κ, ζ)` and chain
 //!   validation.
 //! * [`rates`] — throughput constraints and `φ` propagation over chains.
-//! * [`bounds`] — linear transfer-time bounds (Eqs. 1–3) and the witness
-//!   existence schedules of Figs. 3–4.
+//! * [`bounds`] — the bound distances of Eqs. 1–3 and the Eq. 4
+//!   capacity of one producer–consumer pair ([`PairGaps`]), the one
+//!   place every analysis evaluates them.
 //! * [`capacity`] — the buffer-capacity algorithm (Eq. 4), feasibility
 //!   checks, and the producer–consumer pair shortcut.
 //! * [`obs`] — shared observability primitives: the coarse counter set
@@ -89,7 +90,7 @@ pub mod rates;
 pub mod rational;
 pub mod taskgraph;
 
-pub use bounds::{EdgeBounds, ExistenceSchedule, FiringEvent, LinearBound, PairGaps};
+pub use bounds::PairGaps;
 pub use capacity::{
     compute_buffer_capacities, compute_buffer_capacities_via_chain, compute_buffer_capacities_with,
     derive_rates, pair_capacity, AnalysisOptions, BufferCapacity, ConstrainedRelease,

@@ -33,10 +33,10 @@
 //! reproduces the published `[6015, 3263, 882]`.
 
 use vrdf_core::{
-    AnalysisError, ConstraintLocation, Rational, TaskGraph, TaskId, ThroughputConstraint,
+    AnalysisError, ConstraintLocation, PairGaps, Rational, TaskGraph, TaskId, ThroughputConstraint,
 };
 
-use crate::csdf::{solve_balance, ChannelRates, CsdfGraph};
+use crate::csdf::{iteration_period, per, solve_balance, ChannelRates, CsdfGraph};
 use crate::SdfError;
 use vrdf_core::BufferId;
 
@@ -174,6 +174,9 @@ impl BaselineAnalysis {
 ///   have no solution (rate-mismatched fork/join branches).
 /// * [`SdfError::Core`]([`AnalysisError::InfeasibleResponseTime`]) when
 ///   a response time exceeds its conservative cadence.
+/// * [`SdfError::Core`]([`AnalysisError::ArithmeticOverflow`]) when a
+///   cadence, token period or Eq. (1)–(4) value leaves the range of the
+///   exact arithmetic.
 pub fn baseline_capacities(
     tg: &TaskGraph,
     constraint: ThroughputConstraint,
@@ -219,10 +222,10 @@ pub fn baseline_capacities(
     }
     let firings = solve_balance(tg.task_count(), &rates)?;
 
-    let iteration_period = constraint.period() * Rational::from(firings[endpoint.index()]);
+    let iteration_period = iteration_period(constraint, firings[endpoint.index()])?;
     let mut phi = Vec::with_capacity(tg.task_count());
     for (id, task) in tg.tasks() {
-        let cadence = iteration_period / Rational::from(firings[id.index()]);
+        let cadence = per(iteration_period, firings[id.index()], "a task cadence")?;
         if task.response_time() > cadence {
             return Err(SdfError::Core(AnalysisError::InfeasibleResponseTime {
                 actor: task.name().to_owned(),
@@ -240,7 +243,11 @@ pub fn baseline_capacities(
         let tokens_per_iteration = firings[rate.producer]
             .checked_mul(rate.production)
             .ok_or(SdfError::RepetitionOverflow)?;
-        let t = iteration_period / Rational::from(tokens_per_iteration);
+        let t = per(
+            iteration_period,
+            tokens_per_iteration,
+            "a buffer token period",
+        )?;
 
         let effective_rho = |task: TaskId| -> Rational {
             if task == endpoint {
@@ -249,22 +256,34 @@ pub fn baseline_capacities(
                 tg.task(task).response_time()
             }
         };
+        let overflow = || {
+            SdfError::Core(AnalysisError::ArithmeticOverflow {
+                context: "the baseline capacity",
+            })
+        };
         let production_spread = buffer.production().spread();
         let consumption_spread = buffer.consumption().spread();
         // Constant-rate bound distances at the maxima, plus one spread
         // per side for the claim/release decoupling.
-        let producer_gap = effective_rho(buffer.producer())
-            + t * Rational::from(buffer.production().max() - 1 + production_spread);
-        let consumer_gap = effective_rho(buffer.consumer())
-            + t * Rational::from(buffer.consumption().max() - 1 + consumption_spread);
-        let capacity = ((producer_gap + consumer_gap) / t + Rational::ONE).floor();
-        debug_assert!(capacity >= 1);
+        let charged = |max: u64, spread: u64| max.checked_add(spread).ok_or_else(overflow);
+        let gaps = PairGaps::new(
+            t,
+            effective_rho(buffer.producer()),
+            effective_rho(buffer.consumer()),
+            charged(buffer.production().max(), production_spread)?,
+            charged(buffer.consumption().max(), consumption_spread)?,
+        )
+        .map_err(SdfError::Core)?;
         // Like the VRDF side, a feedback edge's pre-filled containers
         // occupy space on top of the in-flight bound.
+        let capacity = gaps
+            .sufficient_initial_tokens()
+            .checked_add(buffer.initial_tokens())
+            .ok_or_else(overflow)?;
         edges.push(BaselineEdge {
             buffer: buffer_id,
             name: buffer.name().to_owned(),
-            capacity: (capacity as u64).saturating_add(buffer.initial_tokens()),
+            capacity,
             token_period: t,
             production_spread,
             consumption_spread,

@@ -21,7 +21,9 @@
 //! that vector; `crate::exec` runs the graph to its periodic steady
 //! state to verify them operationally.
 
-use vrdf_core::{ConstraintLocation, Rational, TaskGraph, ThroughputConstraint};
+use vrdf_core::{
+    AnalysisError, ConstraintLocation, PairGaps, Rational, TaskGraph, ThroughputConstraint,
+};
 
 use crate::SdfError;
 use std::fmt;
@@ -622,21 +624,20 @@ pub(crate) fn solve_balance(
         adjacency[c.producer].push(i);
         adjacency[c.consumer].push(i);
     }
+    let scale = |f: Rational, by: u64, over: u64| {
+        f.checked_mul(Rational::from(by))
+            .and_then(|f| f.checked_div(Rational::from(over)))
+            .ok_or(SdfError::RepetitionOverflow)
+    };
     let mut stack = vec![0usize];
     while let Some(a) = stack.pop() {
         let from = factor[a].expect("only resolved actors are stacked");
         for &ci in &adjacency[a] {
             let c = &channels[ci];
             let (other, other_factor) = if c.producer == a {
-                (
-                    c.consumer,
-                    from * Rational::from(c.production) / Rational::from(c.consumption),
-                )
+                (c.consumer, scale(from, c.production, c.consumption)?)
             } else {
-                (
-                    c.producer,
-                    from * Rational::from(c.consumption) / Rational::from(c.production),
-                )
+                (c.producer, scale(from, c.consumption, c.production)?)
             };
             if factor[other].is_none() {
                 factor[other] = Some(other_factor);
@@ -645,8 +646,8 @@ pub(crate) fn solve_balance(
         }
     }
     for c in channels {
-        let produced = factor[c.producer].expect("connected") * Rational::from(c.production);
-        let consumed = factor[c.consumer].expect("connected") * Rational::from(c.consumption);
+        let produced = scale(factor[c.producer].expect("connected"), c.production, 1)?;
+        let consumed = scale(factor[c.consumer].expect("connected"), c.consumption, 1)?;
         if produced != consumed {
             return Err(SdfError::Inconsistent {
                 channel: c.name.to_owned(),
@@ -848,17 +849,20 @@ impl CsdfAnalysis {
 /// # Errors
 ///
 /// Repetition-vector errors ([`SdfError::Inconsistent`], …),
-/// [`SdfError::AmbiguousEndpoint`], or
+/// [`SdfError::AmbiguousEndpoint`],
 /// [`SdfError::InfeasibleResponseTime`] when an actor's worst-case phase
-/// response time exceeds its cadence `φ(a)`.
+/// response time exceeds its cadence `φ(a)`, or
+/// [`SdfError::Core`]([`AnalysisError::ArithmeticOverflow`]) when a
+/// cadence, token period or Eq. (1)–(4) value leaves the range of the
+/// exact arithmetic.
 pub fn analyze(g: &CsdfGraph, constraint: ThroughputConstraint) -> Result<CsdfAnalysis, SdfError> {
     let repetition = g.repetition_vector()?;
     let endpoint = g.unique_endpoint(constraint.location())?;
-    let iteration_period = constraint.period() * Rational::from(repetition.firings(endpoint));
+    let iteration_period = iteration_period(constraint, repetition.firings(endpoint))?;
 
     let mut phi = Vec::with_capacity(g.actor_count());
     for (id, actor) in g.actors() {
-        let cadence = iteration_period / Rational::from(repetition.firings(id));
+        let cadence = per(iteration_period, repetition.firings(id), "an actor cadence")?;
         let rho = actor.max_response_time();
         if rho > cadence {
             return Err(SdfError::InfeasibleResponseTime {
@@ -872,7 +876,11 @@ pub fn analyze(g: &CsdfGraph, constraint: ThroughputConstraint) -> Result<CsdfAn
 
     let mut capacities = Vec::with_capacity(g.channel_count());
     for (id, channel) in g.channels() {
-        let t = iteration_period / Rational::from(repetition.tokens_per_iteration(id));
+        let t = per(
+            iteration_period,
+            repetition.tokens_per_iteration(id),
+            "a channel token period",
+        )?;
         let effective_rho = |actor: ActorId| -> Rational {
             if actor == endpoint {
                 Rational::ZERO
@@ -880,19 +888,20 @@ pub fn analyze(g: &CsdfGraph, constraint: ThroughputConstraint) -> Result<CsdfAn
                 g.actor(actor).max_response_time()
             }
         };
-        let producer_gap =
-            effective_rho(channel.producer()) + t * Rational::from(channel.max_production() - 1);
-        let consumer_gap =
-            effective_rho(channel.consumer()) + t * Rational::from(channel.max_consumption() - 1);
-        let total_gap = producer_gap + consumer_gap;
-        let capacity = (total_gap / t + Rational::ONE).floor();
-        debug_assert!(capacity >= 1);
+        let gaps = PairGaps::new(
+            t,
+            effective_rho(channel.producer()),
+            effective_rho(channel.consumer()),
+            channel.max_production(),
+            channel.max_consumption(),
+        )
+        .map_err(SdfError::Core)?;
         capacities.push(ChannelCapacity {
             channel: id,
             name: channel.name().to_owned(),
-            capacity: capacity as u64,
+            capacity: gaps.sufficient_initial_tokens(),
             token_period: t,
-            total_gap,
+            total_gap: gaps.total_gap(),
         });
     }
 
@@ -904,6 +913,34 @@ pub fn analyze(g: &CsdfGraph, constraint: ThroughputConstraint) -> Result<CsdfAn
         phi,
         capacities,
     })
+}
+
+/// One graph iteration of a steady state, `τ·q(endpoint)`, for both
+/// constant-rate analyses.
+pub(crate) fn iteration_period(
+    constraint: ThroughputConstraint,
+    endpoint_firings: u64,
+) -> Result<Rational, SdfError> {
+    constraint
+        .period()
+        .checked_mul(Rational::from(endpoint_firings))
+        .ok_or_else(|| overflow("the iteration period"))
+}
+
+/// `iteration_period / count`: an actor's cadence or a channel's token
+/// period.
+pub(crate) fn per(
+    iteration_period: Rational,
+    count: u64,
+    context: &'static str,
+) -> Result<Rational, SdfError> {
+    iteration_period
+        .checked_div(Rational::from(count))
+        .ok_or_else(|| overflow(context))
+}
+
+fn overflow(context: &'static str) -> SdfError {
+    SdfError::Core(AnalysisError::ArithmeticOverflow { context })
 }
 
 #[cfg(test)]

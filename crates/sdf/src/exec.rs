@@ -9,8 +9,9 @@
 //! are freed and output tokens produced at the finish (`ρ` later), and
 //! an actor is non-reentrant (its response time serialises its firings).
 //! The throughput-constrained endpoint frees the containers it consumed
-//! already at its firing *start* under the default
-//! [`ConstrainedRelease::Immediate`] convention, mirroring the analysis.
+//! already at its firing *start* (the
+//! [`vrdf_core::ConstrainedRelease::Immediate`] convention), mirroring
+//! the analysis.
 //!
 //! Execution is **self-timed** (every actor fires as soon as it is
 //! enabled) and therefore deterministic, so the run either deadlocks or
@@ -27,20 +28,18 @@ use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
-use vrdf_core::{ConstrainedRelease, CoreCounters, Rational, ThroughputConstraint};
+use vrdf_core::{CoreCounters, Rational, ThroughputConstraint};
 
 use crate::csdf::{ActorId, ChannelId, CsdfGraph};
 use crate::SdfError;
 
+/// Iteration-boundary snapshots [`steady_state`] explores before giving
+/// up with [`SdfError::NoSteadyState`].
+const MAX_BOUNDARIES: u64 = 1024;
+
 /// Tunable knobs for [`steady_state`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// When the throughput-constrained endpoint frees the containers it
-    /// consumed; the default matches the analysis' convention.
-    pub release: ConstrainedRelease,
-    /// Iteration-boundary snapshots to explore before giving up with
-    /// [`SdfError::NoSteadyState`].
-    pub max_boundaries: u64,
     /// Event budget before [`SdfError::BudgetExhausted`].
     pub max_events: u64,
     /// Collect coarse activity counters ([`vrdf_core::CoreCounters`])
@@ -53,8 +52,6 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            release: ConstrainedRelease::default(),
-            max_boundaries: 1024,
             max_events: 50_000_000,
             telemetry: false,
         }
@@ -284,8 +281,7 @@ impl<'a> Executor<'a> {
             let actor = &self.actors[a];
             (actor.started % actor.phases as u64) as usize
         };
-        let immediate_free =
-            a == self.endpoint && self.opts.release == ConstrainedRelease::Immediate;
+        let immediate_free = a == self.endpoint;
         for i in 0..self.actors[a].inputs.len() {
             let ci = self.actors[a].inputs[i];
             let c = self.g.channel(ChannelId(ci)).consumption()[phase];
@@ -316,9 +312,7 @@ impl<'a> Executor<'a> {
             debug_assert!(actor.busy_until.is_some(), "finish event for an idle actor");
             (actor.finished % actor.phases as u64) as usize
         };
-        let immediate_free =
-            a == self.endpoint && self.opts.release == ConstrainedRelease::Immediate;
-        if !immediate_free {
+        if a != self.endpoint {
             for i in 0..self.actors[a].inputs.len() {
                 let ci = self.actors[a].inputs[i];
                 let c = self.g.channel(ChannelId(ci)).consumption()[phase];
@@ -464,7 +458,7 @@ pub fn steady_state(
             while endpoint_finished >= (boundaries + 1).saturating_mul(per_iteration) {
                 boundaries += 1;
             }
-            if boundaries > opts.max_boundaries {
+            if boundaries > MAX_BOUNDARIES {
                 return Err(SdfError::NoSteadyState {
                     boundaries: boundaries - 1,
                 });

@@ -15,7 +15,9 @@
 //!   inconsistent graphs are rejected (no finite buffering exists).
 //! * [`analyze`] — constant-rate buffer sizing derived from the
 //!   repetition vector: steady-state cadences, per-channel token
-//!   periods, and sufficient capacities.  On the constant-max MP3 chain
+//!   periods, and sufficient capacities (Eqs. 1–4 through
+//!   [`vrdf_core::PairGaps`], as in the VRDF analysis and
+//!   [`baseline_capacities`]).  On the constant-max MP3 chain
 //!   this reproduces the paper's published `[6015, 3263, 882]` without
 //!   touching the VRDF rate propagation.
 //! * [`steady_state`] — a self-timed state-space executor on an integer

@@ -26,7 +26,7 @@
 //! # The integer tick clock
 //!
 //! Every time in one run — response times, the period `τ`, the periodic
-//! offset, the horizon — is a [`Rational`], but they all share a common
+//! offset, fault stalls — is a [`Rational`], but they all share a common
 //! denominator: the LCM of their canonical denominators.  At construction
 //! the engine computes that LCM ([`Rational::lcm_den`]) and converts every
 //! time to integer *ticks* of `1/LCM` once ([`Rational::to_ticks`]).  The
@@ -128,8 +128,6 @@ pub struct SimConfig {
     pub release: ConstrainedRelease,
     /// Stop after the endpoint has completed this many firings.
     pub max_endpoint_firings: u64,
-    /// Stop before processing any event later than this time.
-    pub max_time: Option<Rational>,
     /// Hard cap on processed events, guarding against zero-response-time
     /// livelock.  Enforced exactly: a run never processes more than this
     /// many events, and ends with [`SimOutcome::EventBudgetExhausted`]
@@ -140,9 +138,8 @@ pub struct SimConfig {
     /// Stop at the first deadline miss instead of collecting all of them.
     pub stop_on_violation: bool,
     /// Bounded fault perturbations every run replays: transient stalls
-    /// and drop-retries inflate the affected firings' response times,
-    /// release jitter delays the endpoint's periodic releases.  Empty by
-    /// default; an empty plan runs the fault-free engine bit for bit.
+    /// inflate the affected firings' response times.  Empty by default;
+    /// an empty plan runs the fault-free engine bit for bit.
     pub faults: FaultPlan,
     /// Collect [`EngineCounters`], reset/run phase spans, and — at
     /// [`TraceLevel::All`] — per-buffer occupancy samples
@@ -159,7 +156,6 @@ impl SimConfig {
             behavior: EndpointBehavior::SelfTimed,
             release: ConstrainedRelease::default(),
             max_endpoint_firings: 10_000,
-            max_time: None,
             max_events: 50_000_000,
             trace: TraceLevel::None,
             stop_on_violation: false,
@@ -251,8 +247,6 @@ impl fmt::Display for Violation {
 pub enum SimOutcome {
     /// The endpoint completed the requested number of firings.
     Completed,
-    /// The time horizon was reached before the firing quota.
-    HorizonReached,
     /// No task could ever fire again.
     Deadlock {
         /// Time of the last event before the standstill.
@@ -356,19 +350,16 @@ pub struct SimReport {
     pub events_processed: u64,
     /// Time of the last processed event.
     pub end_time: Rational,
-    /// Fault perturbations that actually struck the run: stalled or
-    /// retried firings plus delayed releases.  Zero without a
-    /// [`crate::FaultPlan`].
+    /// Fault perturbations that actually struck the run: stalled
+    /// firings.  Zero without a [`crate::FaultPlan`].
     pub faults_injected: u64,
     /// The first instant a fault perturbed the run — the start of the
-    /// first stalled firing or the nominal instant of the first delayed
-    /// release.  `None` when no fault struck; violations before this
-    /// instant cannot be blamed on the fault.
+    /// first stalled firing.  `None` when no fault struck; violations
+    /// before this instant cannot be blamed on the fault.
     pub first_fault_time: Option<Rational>,
     /// The last instant a fault perturbed the run — the finish of the
-    /// last stalled firing or the issuance of the last delayed release.
-    /// `None` when no fault struck; recovery windows are measured from
-    /// here.
+    /// last stalled firing.  `None` when no fault struck; recovery
+    /// windows are measured from here.
     pub last_fault_time: Option<Rational>,
     /// Engine activity counters; `Some` iff the run's config enables
     /// telemetry ([`SimConfig::telemetry`]).
@@ -386,13 +377,10 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// `true` when the run completed its quota (or horizon) with zero
-    /// violations and no deadlock.
+    /// `true` when the run completed its quota with zero violations and
+    /// no deadlock.
     pub fn ok(&self) -> bool {
-        matches!(
-            self.outcome,
-            SimOutcome::Completed | SimOutcome::HorizonReached
-        ) && self.violations.is_empty()
+        self.outcome == SimOutcome::Completed && self.violations.is_empty()
     }
 }
 
@@ -697,7 +685,6 @@ pub struct SimPlan<'a> {
     period: i128,
     /// Release time of firing 0, in ticks (periodic mode only).
     offset: Option<i128>,
-    max_time: Option<i128>,
     /// Position of the constrained endpoint in the topological order.
     endpoint: usize,
     /// Whether the endpoint frees consumed containers at its start.
@@ -783,9 +770,6 @@ impl<'a> SimPlan<'a> {
             if let Some(offset) = offset_rat {
                 fold(offset, "offset")?;
             }
-            if let Some(max_time) = config.max_time {
-                fold(max_time, "max_time")?;
-            }
             for &tid in dag.tasks() {
                 fold(tg.task(tid).response_time(), tg.task(tid).name())?;
             }
@@ -863,16 +847,12 @@ impl<'a> SimPlan<'a> {
         let endpoint = task_pos[endpoint_task.index()] as usize;
         let period = to_ticks(config.constraint.period(), "period")?;
         let offset = offset_rat.map(|o| to_ticks(o, "offset")).transpose()?;
-        let max_time = config
-            .max_time
-            .map(|t| to_ticks(t, "max_time"))
-            .transpose()?;
         let immediate_free = config.release == ConstrainedRelease::Immediate;
         let wheel_hint = rho.iter().copied().max().unwrap_or(0).max(period);
         let faults = if config.faults.is_empty() {
             CompiledFaults::default()
         } else {
-            config.faults.compile(tg, &task_pos, &rho, tick_den)?
+            config.faults.compile(tg, &task_pos, tick_den)?
         };
         let telemetry = config.telemetry;
 
@@ -882,7 +862,6 @@ impl<'a> SimPlan<'a> {
             tick_den,
             period,
             offset,
-            max_time,
             endpoint,
             immediate_free,
             task_ids,
@@ -901,17 +880,6 @@ impl<'a> SimPlan<'a> {
             faults,
             telemetry,
         })
-    }
-
-    /// Ticks release `r` is issued late under the plan's faults; zero on
-    /// the fault-free fast path.
-    #[inline]
-    fn release_delay(&self, r: u64) -> i128 {
-        if self.faults.is_empty() {
-            0
-        } else {
-            self.faults.release_delay(r)
-        }
     }
 
     /// The graph the plan was built over.
@@ -1246,10 +1214,7 @@ impl SimState {
         if let Some(offset) = plan.offset {
             if plan.config.max_endpoint_firings > 0 {
                 self.seq += 1;
-                // Release jitter shifts the initial release too; zero on
-                // the fault-free fast path.
-                let release = offset + plan.release_delay(0);
-                let on_wheel = self.queue.push(self.now, release, self.seq, nt as u32);
+                let on_wheel = self.queue.push(self.now, offset, self.seq, nt as u32);
                 if plan.telemetry {
                     if on_wheel {
                         self.counters.wheel_pushes += 1;
@@ -1412,8 +1377,8 @@ impl Exec<'_, '_> {
         }
         let start = self.st.now;
         let rho = plan.rho[pos];
-        // Stall / drop-retry faults inflate this firing's response time;
-        // zero (and branch-predictable) on the fault-free fast path.
+        // Stall faults inflate this firing's response time; zero (and
+        // branch-predictable) on the fault-free fast path.
         let extra = if plan.faults.is_empty() {
             0
         } else {
@@ -1439,10 +1404,7 @@ impl Exec<'_, '_> {
                     self.st.max_drift = Some(self.st.max_drift.map_or(drift, |d| d.max(drift)));
                 }
                 Some(offset) => {
-                    // A jittered release shifts the firing's deadline
-                    // with it.
-                    let lateness =
-                        start - (offset + k as i128 * plan.period + plan.release_delay(k));
+                    let lateness = start - (offset + k as i128 * plan.period);
                     self.st.max_lateness =
                         Some(self.st.max_lateness.map_or(lateness, |d| d.max(lateness)));
                 }
@@ -1566,39 +1528,10 @@ impl Exec<'_, '_> {
                 self.st.counters.events_popped += 1;
             }
             if node == release_node {
-                let issued = self.st.releases_issued;
                 self.st.releases_issued += 1;
                 self.mark_dirty(self.plan.endpoint);
-                if !self.plan.faults.is_empty() && self.plan.faults.release_delay(issued) != 0 {
-                    // This release was issued late: the deviation starts
-                    // at its nominal anchor and lasts until issuance.
-                    self.st.faults_injected += 1;
-                    let nominal = self.plan.offset.unwrap_or(0) + issued as i128 * self.plan.period;
-                    self.st.first_fault =
-                        Some(self.st.first_fault.map_or(nominal, |t| t.min(nominal)));
-                    self.st.last_fault = Some(
-                        self.st
-                            .last_fault
-                            .map_or(self.st.now, |t| t.max(self.st.now)),
-                    );
-                }
                 if self.st.releases_issued < self.plan.config.max_endpoint_firings {
-                    if self.plan.faults.is_empty() {
-                        self.push(self.st.now + self.plan.period, release_node);
-                    } else {
-                        // Each release keeps its nominal anchor `offset +
-                        // r·τ` plus its own jitter, so one delayed
-                        // release does not drag the whole tail — but a
-                        // delay long enough to overlap the next nominal
-                        // release must not schedule it in the past.
-                        let next = self.st.releases_issued;
-                        let offset = self.plan.offset.unwrap_or(0);
-                        let at = (offset
-                            + next as i128 * self.plan.period
-                            + self.plan.faults.release_delay(next))
-                        .max(self.st.now);
-                        self.push(at, release_node);
-                    }
+                    self.push(self.st.now + self.plan.period, release_node);
                 }
             } else {
                 self.apply_finish(node as usize);
@@ -1614,8 +1547,7 @@ impl Exec<'_, '_> {
             let endpoint = self.plan.endpoint;
             let started = self.st.started[endpoint];
             for firing in started..self.st.releases_issued {
-                let release =
-                    offset + firing as i128 * self.plan.period + self.plan.release_delay(firing);
+                let release = offset + firing as i128 * self.plan.period;
                 if release < self.st.now {
                     // Already reported when its instant settled.
                     continue;
@@ -1660,14 +1592,7 @@ impl Exec<'_, '_> {
             }
             // Advance to the next event.
             match self.st.queue.next_time(self.st.now) {
-                Some(time) => {
-                    if let Some(max_time) = self.plan.max_time {
-                        if time > max_time {
-                            return SimOutcome::HorizonReached;
-                        }
-                    }
-                    self.st.now = time;
-                }
+                Some(time) => self.st.now = time,
                 None => {
                     for pos in 0..self.plan.task_ids.len() {
                         if let Err(reason) = self.startable(pos, true) {

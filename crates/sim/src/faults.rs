@@ -1,22 +1,12 @@
 //! Bounded fault injection and recovery validation.
 //!
 //! The paper's model is fault-free: every firing takes at most its
-//! worst-case response time and the constrained endpoint is released on a
-//! perfect period.  Real platforms stall (cache refills, bus contention,
-//! preemption), drop work and retry it, and jitter their source clocks.
-//! This module perturbs a simulation with *bounded* faults of exactly
-//! those three shapes and measures how the analysed capacities degrade:
-//!
-//! * [`FaultKind::Stall`] — a transient stall: each affected firing's
-//!   response time is inflated by a fixed `Δ`.
-//! * [`FaultKind::DropRetry`] — a dropped firing with bounded retry: the
-//!   firing's work is lost `attempts` times and redone, so its response
-//!   time inflates by `attempts · ρ`.  Operationally this is a stall of a
-//!   specific magnitude, kept distinct so fault plans read as what they
-//!   model.
-//! * [`ReleaseFault`] — release jitter: periodic releases of the
-//!   constrained endpoint (the *source* in source-constrained mode) are
-//!   issued late by a bounded, non-negative delay.
+//! worst-case response time.  Real platforms stall (cache refills, bus
+//! contention, preemption, a dropped firing redone `n` times — a stall of
+//! `n · ρ`).  This module perturbs a simulation with *bounded* stalls — a
+//! window of firings of one task whose response times are each inflated
+//! by a fixed `Δ` ([`TaskFault`]) — and measures how the analysed
+//! capacities degrade.
 //!
 //! A [`FaultPlan`] rides in the run's [`crate::SimConfig::faults`] and
 //! compiles onto the engine's integer tick clock when the
@@ -26,8 +16,8 @@
 //! engine.
 //!
 //! [`validate_capacities_under_faults`] replays the full scenario battery
-//! of [`crate::validate_capacities`] under a fault plan — with
-//! `stop_on_violation` forced *off* so the post-fault transient is
+//! of [`crate::validate_capacities`] under a fault plan — each scenario
+//! runs past its first deadline miss, so the post-fault transient is
 //! observable — and grades each scenario with a [`RecoveryVerdict`]:
 //! did strict periodicity hold throughout ([`RecoveryVerdict::Unaffected`]),
 //! re-establish within a bounded recovery window
@@ -35,9 +25,8 @@
 //! ([`RecoveryVerdict::Missed`]), or stall permanently
 //! ([`RecoveryVerdict::Deadlocked`])?  The recovery window is `K` endpoint
 //! periods after the *last* instant a fault perturbed the run (the finish
-//! of the last stalled firing or the issuance of the last delayed
-//! release, [`crate::SimReport::last_fault_time`]); `K` is
-//! [`FaultValidationOptions::recovery_firings`].  The maximum transient
+//! of the last stalled firing, [`crate::SimReport::last_fault_time`]); `K`
+//! is [`FaultValidationOptions::recovery_firings`].  The maximum transient
 //! backlog per buffer is the per-run occupancy high-water mark already
 //! tracked in [`crate::BufferStats::max_occupancy`], surfaced per
 //! scenario by [`FaultScenarioResult::transient_backlog`].
@@ -52,26 +41,8 @@ use crate::validate::{
 };
 use crate::SimError;
 
-/// The shape of a per-task fault.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Transient stall: each affected firing's response time is inflated
-    /// by `delta` (non-negative).
-    Stall {
-        /// Extra response time per affected firing.
-        delta: Rational,
-    },
-    /// Dropped firing with bounded retry: the firing's work is lost
-    /// `attempts` times before succeeding, inflating its response time by
-    /// `attempts · ρ`.
-    DropRetry {
-        /// Failed tries before the firing succeeds.
-        attempts: u32,
-    },
-}
-
-/// A bounded fault window on one task: firings
-/// `[first_firing, first_firing + firings)` are perturbed.
+/// A bounded stall window on one task: firings
+/// `[first_firing, first_firing + firings)` each take `delta` extra time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskFault {
     /// Name of the task the fault strikes.
@@ -80,36 +51,20 @@ pub struct TaskFault {
     pub first_firing: u64,
     /// Number of consecutive affected firings.
     pub firings: u64,
-    /// What happens to each affected firing.
-    pub kind: FaultKind,
+    /// Extra response time per affected firing (non-negative).
+    pub delta: Rational,
 }
 
-/// A bounded release-jitter window: periodic releases
-/// `[first_release, first_release + releases)` of the constrained
-/// endpoint are issued `delay` late.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReleaseFault {
-    /// Zero-based index of the first delayed release.
-    pub first_release: u64,
-    /// Number of consecutive delayed releases.
-    pub releases: u64,
-    /// Non-negative issuance delay; the firing's deadline shifts with its
-    /// release.
-    pub delay: Rational,
-}
-
-/// A bounded fault scenario: task stalls, drop-retries, and release
-/// jitter, all finite.  Set it as [`crate::SimConfig::faults`]; it is
-/// compiled to tick-space perturbations when the [`crate::SimPlan`] is
-/// built.  Only the tick engine injects faults:
+/// A bounded fault scenario: finitely many task stalls.  Set it as
+/// [`crate::SimConfig::faults`]; it is compiled to tick-space
+/// perturbations when the [`crate::SimPlan`] is built.  Only the tick
+/// engine injects faults:
 /// [`crate::ReferenceSimulator::new`] refuses a non-empty plan with
 /// [`SimError::InvalidFault`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Per-task fault windows.
+    /// Per-task stall windows.
     pub task_faults: Vec<TaskFault>,
-    /// Release-jitter windows.
-    pub release_faults: Vec<ReleaseFault>,
 }
 
 impl FaultPlan {
@@ -121,7 +76,7 @@ impl FaultPlan {
 
     /// `true` when the plan perturbs nothing.
     pub fn is_empty(&self) -> bool {
-        self.task_faults.is_empty() && self.release_faults.is_empty()
+        self.task_faults.is_empty()
     }
 
     /// Adds a transient stall: firings `[first_firing, first_firing +
@@ -132,38 +87,7 @@ impl FaultPlan {
             task: task.to_owned(),
             first_firing,
             firings,
-            kind: FaultKind::Stall { delta },
-        });
-        self
-    }
-
-    /// Adds a dropped-firing window: each affected firing of `task` is
-    /// retried `attempts` times, costing `attempts · ρ` extra.
-    #[must_use]
-    pub fn drop_retry(
-        mut self,
-        task: &str,
-        first_firing: u64,
-        firings: u64,
-        attempts: u32,
-    ) -> Self {
-        self.task_faults.push(TaskFault {
-            task: task.to_owned(),
-            first_firing,
-            firings,
-            kind: FaultKind::DropRetry { attempts },
-        });
-        self
-    }
-
-    /// Adds release jitter: releases `[first_release, first_release +
-    /// releases)` of the constrained endpoint are issued `delay` late.
-    #[must_use]
-    pub fn delay_releases(mut self, first_release: u64, releases: u64, delay: Rational) -> Self {
-        self.release_faults.push(ReleaseFault {
-            first_release,
-            releases,
-            delay,
+            delta,
         });
         self
     }
@@ -171,44 +95,19 @@ impl FaultPlan {
     /// Every rational time the plan introduces — folded into the tick
     /// clock's denominator LCM alongside the run's own times.
     pub(crate) fn time_values(&self) -> impl Iterator<Item = Rational> + '_ {
-        self.task_faults
-            .iter()
-            .filter_map(|f| match f.kind {
-                FaultKind::Stall { delta } => Some(delta),
-                FaultKind::DropRetry { .. } => None,
-            })
-            .chain(self.release_faults.iter().map(|f| f.delay))
+        self.task_faults.iter().map(|f| f.delta)
     }
 
     /// Compiles the plan onto the tick clock: task names resolve to
-    /// topological positions, rational durations to ticks, drop-retries
-    /// to `attempts · ρ` ticks.
+    /// topological positions, stall durations to ticks.
     ///
-    /// `task_pos` maps `TaskId::index()` to topological position, `rho`
-    /// holds per-position response times in ticks.
+    /// `task_pos` maps `TaskId::index()` to topological position.
     pub(crate) fn compile(
         &self,
         tg: &TaskGraph,
         task_pos: &[u32],
-        rho: &[i128],
         tick_den: i128,
     ) -> Result<CompiledFaults, SimError> {
-        let to_fault_ticks = |value: Rational, what: &str, owner: &str| -> Result<i128, SimError> {
-            if value < Rational::ZERO {
-                return Err(SimError::InvalidFault {
-                    detail: format!("{what} of `{owner}` must be non-negative, got {value}"),
-                });
-            }
-            let overflow = || SimError::TickOverflow {
-                quantity: format!("fault {what} of `{owner}`"),
-            };
-            let ticks = value.to_ticks(tick_den).ok_or_else(overflow)?;
-            if ticks.unsigned_abs() > u64::MAX as u128 {
-                return Err(overflow());
-            }
-            Ok(ticks)
-        };
-
         let mut compiled = CompiledFaults::default();
         for fault in &self.task_faults {
             let tid = tg.task_by_name(&fault.task).ok_or_else(|| {
@@ -217,35 +116,26 @@ impl FaultPlan {
             if fault.firings == 0 {
                 continue;
             }
-            let pos = task_pos[tid.index()];
-            let extra = match fault.kind {
-                FaultKind::Stall { delta } => to_fault_ticks(delta, "stall delta", &fault.task)?,
-                FaultKind::DropRetry { attempts } => {
-                    let extra = attempts as i128 * rho[pos as usize];
-                    if extra > u64::MAX as i128 {
-                        return Err(SimError::TickOverflow {
-                            quantity: format!("fault retries of `{}`", fault.task),
-                        });
-                    }
-                    extra
-                }
+            if fault.delta < Rational::ZERO {
+                return Err(SimError::InvalidFault {
+                    detail: format!(
+                        "stall delta of `{}` must be non-negative, got {}",
+                        fault.task, fault.delta
+                    ),
+                });
+            }
+            let overflow = || SimError::TickOverflow {
+                quantity: format!("fault stall delta of `{}`", fault.task),
             };
+            let extra = fault.delta.to_ticks(tick_den).ok_or_else(overflow)?;
+            if extra.unsigned_abs() > u64::MAX as u128 {
+                return Err(overflow());
+            }
             compiled.task_windows.push(TaskWindow {
-                pos,
+                pos: task_pos[tid.index()],
                 first: fault.first_firing,
                 end: fault.first_firing.saturating_add(fault.firings),
                 extra,
-            });
-        }
-        for fault in &self.release_faults {
-            if fault.releases == 0 {
-                continue;
-            }
-            let delay = to_fault_ticks(fault.delay, "release delay", "the endpoint")?;
-            compiled.release_windows.push(ReleaseWindow {
-                first: fault.first_release,
-                end: fault.first_release.saturating_add(fault.releases),
-                delay,
             });
         }
         Ok(compiled)
@@ -262,27 +152,17 @@ pub(crate) struct TaskWindow {
     extra: i128,
 }
 
-/// One compiled release window: releases `[first, end)` are issued
-/// `delay` ticks late.
-#[derive(Clone, Debug)]
-pub(crate) struct ReleaseWindow {
-    first: u64,
-    end: u64,
-    delay: i128,
-}
-
 /// A [`FaultPlan`] rescaled onto one plan's tick clock.  Empty for
 /// fault-free plans: the engine's fast path is a single emptiness check.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CompiledFaults {
     task_windows: Vec<TaskWindow>,
-    release_windows: Vec<ReleaseWindow>,
 }
 
 impl CompiledFaults {
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        self.task_windows.is_empty() && self.release_windows.is_empty()
+        self.task_windows.is_empty()
     }
 
     /// Extra ticks firing `k` of the task at position `pos` takes;
@@ -296,18 +176,6 @@ impl CompiledFaults {
             }
         }
         extra
-    }
-
-    /// Ticks release `r` is issued late; overlapping windows add.
-    #[inline]
-    pub(crate) fn release_delay(&self, r: u64) -> i128 {
-        let mut delay = 0;
-        for w in &self.release_windows {
-            if r >= w.first && r < w.end {
-                delay += w.delay;
-            }
-        }
-        delay
     }
 }
 
@@ -388,9 +256,8 @@ impl FaultScenarioResult {
 /// Tunables for [`validate_capacities_under_faults`].
 #[derive(Clone, Debug)]
 pub struct FaultValidationOptions {
-    /// The underlying scenario battery.  `stop_on_violation` is forced
-    /// *off* regardless of its value here — grading recovery requires
-    /// simulating past the first miss.
+    /// The underlying scenario battery.  Every scenario runs past its
+    /// first deadline miss — grading recovery requires it.
     pub validation: ValidationOptions,
     /// The recovery window `K`, in endpoint firings: every deadline miss
     /// must be released at most `K · τ` after the last fault instant for
@@ -494,8 +361,8 @@ impl fmt::Display for FaultValidationReport {
 /// assignment's conservative one whatever the overrides — so padding an
 /// edge (fault headroom) or starving one (an under-provisioned
 /// assignment) is compared on the same schedule.  The only battery
-/// difference is that `stop_on_violation` is forced off so the
-/// post-fault transient (and its recovery or persistence) is fully
+/// difference is that scenarios run past their first deadline miss, so
+/// the post-fault transient (and its recovery or persistence) is fully
 /// observable.
 ///
 /// # Errors
@@ -514,18 +381,14 @@ pub fn validate_capacities_under_faults(
     let offset = conservative_offset(tg, analysis)?
         .checked_add(opts.validation.extra_offset)
         .ok_or_else(crate::validate::offset_overflow)?;
-    let battery_opts = ValidationOptions {
-        stop_on_violation: false,
-        ..opts.validation.clone()
-    };
     let constraint = analysis.constraint();
     let report = ScenarioRunner::build(
         &sized,
         constraint,
         offset,
         analysis.options().release,
-        &battery_opts,
-        faults.clone(),
+        &opts.validation,
+        Some(faults.clone()),
     )?
     .validate(&[])?;
     let period = constraint.period();

@@ -28,8 +28,7 @@
 //! * [`search`] — [`minimize_capacities`], a minimal-capacity search
 //!   driver on top of the oracle: per-edge binary search plus coordinate
 //!   descent measuring how far Eq. (4) sits above the operational minima.
-//! * [`faults`] — bounded fault injection (transient stalls, dropped
-//!   firings with retry, release jitter) and
+//! * [`faults`] — bounded fault injection (transient task stalls) and
 //!   [`validate_capacities_under_faults`], which replays the scenario
 //!   battery under a [`FaultPlan`] and grades whether strict periodicity
 //!   recovers within a bounded window.
@@ -88,8 +87,8 @@ pub use engine::{
     SimPlan, SimReport, SimState, Simulator, TaskStats, TraceLevel, Violation,
 };
 pub use faults::{
-    validate_capacities_under_faults, FaultKind, FaultPlan, FaultScenarioResult,
-    FaultValidationOptions, FaultValidationReport, RecoveryVerdict, ReleaseFault, TaskFault,
+    validate_capacities_under_faults, FaultPlan, FaultScenarioResult, FaultValidationOptions,
+    FaultValidationReport, RecoveryVerdict, TaskFault,
 };
 pub use fleet::{
     run_fleet, FleetItem, FleetJob, FleetOptions, FleetReport, FleetResult, FleetSummary,
@@ -146,11 +145,11 @@ pub enum SimError {
     /// [`reference::ReferenceSimulator`].
     TickOverflow {
         /// The quantity that failed to rescale (a task name, `"period"`,
-        /// `"offset"`, or `"max_time"`).
+        /// `"offset"`, or a fault stall).
         quantity: String,
     },
-    /// A [`FaultPlan`] is malformed: a negative stall delta or release
-    /// delay.  (Unknown task names surface as [`SimError::Analysis`] with
+    /// A [`FaultPlan`] is malformed: a negative stall delta.  (Unknown
+    /// task names surface as [`SimError::Analysis`] with
     /// [`vrdf_core::AnalysisError::UnknownName`].)
     InvalidFault {
         /// Human-readable description of the defect.

@@ -569,14 +569,7 @@ impl<'a> ReferenceSimulator<'a> {
                 return SimOutcome::Completed;
             }
             match self.heap.peek() {
-                Some(event) => {
-                    if let Some(max_time) = self.config.max_time {
-                        if event.time > max_time {
-                            return SimOutcome::HorizonReached;
-                        }
-                    }
-                    self.now = event.time;
-                }
+                Some(event) => self.now = event.time,
                 None => {
                     let blocked = (0..self.tasks.len())
                         .filter_map(|pos| {

@@ -13,8 +13,7 @@
 //! same parallel scenario runner the oracle uses, but fail-fast: the
 //! battery stops at its first failing scenario and the scenarios above
 //! it are cancelled ([`MinimizationReport::scenarios_cancelled`]), and
-//! [`ValidationOptions::stop_on_violation`] is forced on so that
-//! scenario itself ends at its first deadline miss.  The runner's
+//! that scenario itself ends at its first deadline miss.  The runner's
 //! [`SimPlan`](crate::SimPlan) is built once for the whole search and
 //! each probe only swaps capacity overrides and resets the reusable
 //! arenas, so the thousands of probes a search spends pay no per-probe
@@ -64,8 +63,7 @@ impl SearchBudget {
 /// Tunables for [`minimize_capacities`].
 #[derive(Clone, Debug)]
 pub struct SearchOptions {
-    /// The scenario battery every probe must survive; `stop_on_violation`
-    /// is forced on for probes regardless of its value here.
+    /// The scenario battery every probe must survive.
     pub validation: ValidationOptions,
     /// Restrict the search to these buffers (`None` searches every edge);
     /// excluded edges keep their Eq. (4) capacity.
@@ -336,25 +334,21 @@ impl Tally {
 }
 
 /// Builds the probe battery for a search: one [`ScenarioRunner`] over the
-/// Eq. (4)-sized graph, with `stop_on_violation` forced on.  Every probe
-/// is a [`ScenarioRunner::probe`] call with the candidate capacities as
-/// overrides — a reset of the runner's arenas, not a rebuild.
+/// Eq. (4)-sized graph.  Every probe is a [`ScenarioRunner::probe`] call
+/// with the candidate capacities as overrides — a reset of the runner's
+/// arenas, not a rebuild.
 fn probe_runner<'g>(
     sized: &'g TaskGraph,
     analysis: &GraphAnalysis,
     offset: Rational,
     opts: &SearchOptions,
 ) -> Result<ScenarioRunner<'g>, SimError> {
-    let probe_opts = ValidationOptions {
-        stop_on_violation: true,
-        ..opts.validation.clone()
-    };
     ScenarioRunner::new(
         sized,
         analysis.constraint(),
         offset,
         analysis.options().release,
-        &probe_opts,
+        &opts.validation,
     )
 }
 

@@ -85,8 +85,6 @@ pub struct ValidationOptions {
     pub extra_offset: Rational,
     /// Event budget per scenario.
     pub max_events: u64,
-    /// Stop each scenario at its first violation.
-    pub stop_on_violation: bool,
     /// Worker-thread cap for the scenario battery: `0` uses the machine's
     /// available parallelism, `1` runs sequentially, and any cap is
     /// clamped to the scenario count (see [`effective_threads`], the one
@@ -120,7 +118,6 @@ impl Default for ValidationOptions {
             base_seed: 0xC0FF_EE00,
             extra_offset: Rational::ZERO,
             max_events: 50_000_000,
-            stop_on_violation: true,
             threads: 0,
             wall_clock: None,
             chaos_panic_scenario: None,
@@ -555,6 +552,7 @@ impl<'a> ScenarioRunner<'a> {
     /// Builds the battery for a graph: the scenario list from `opts`
     /// (corners, min/max cycle, seeded randoms), the periodic endpoint at
     /// `offset`, and one reusable simulation state per worker thread.
+    /// Each scenario stops at its first deadline miss.
     ///
     /// Capacities may still be unset here when every later
     /// [`validate`](ScenarioRunner::validate) call overrides them.
@@ -574,29 +572,31 @@ impl<'a> ScenarioRunner<'a> {
         release: ConstrainedRelease,
         opts: &ValidationOptions,
     ) -> Result<ScenarioRunner<'a>, SimError> {
-        Self::build(tg, constraint, offset, release, opts, FaultPlan::default())
+        Self::build(tg, constraint, offset, release, opts, None)
     }
 
-    /// [`ScenarioRunner::new`] with every scenario replaying `faults` —
-    /// the fault battery's runner.  Fault injection needs the tick
-    /// engine, so a tick overflow with a non-empty fault plan is an
-    /// error rather than a silent fault-free reference fallback; a
-    /// malformed plan is [`SimError::InvalidFault`].
+    /// [`ScenarioRunner::new`], or with `Some(faults)` the fault
+    /// battery's runner: every scenario replays `faults` and runs past
+    /// its first deadline miss, so the post-fault transient can be
+    /// graded.  Fault injection needs the tick engine, so a tick overflow
+    /// with a non-empty fault plan is an error rather than a silent
+    /// fault-free reference fallback; a malformed plan is
+    /// [`SimError::InvalidFault`].
     pub(crate) fn build(
         tg: &'a TaskGraph,
         constraint: ThroughputConstraint,
         offset: Rational,
         release: ConstrainedRelease,
         opts: &ValidationOptions,
-        faults: FaultPlan,
+        faults: Option<FaultPlan>,
     ) -> Result<ScenarioRunner<'a>, SimError> {
         let mut config = SimConfig::periodic(constraint, offset);
         config.release = release;
         config.max_endpoint_firings = opts.endpoint_firings;
         config.max_events = opts.max_events;
-        config.stop_on_violation = opts.stop_on_violation;
+        config.stop_on_violation = faults.is_none();
         config.trace = TraceLevel::None;
-        config.faults = faults;
+        config.faults = faults.unwrap_or_default();
         config.telemetry = opts.telemetry;
         let scenarios = scenario_plans(tg, opts);
         let threads = effective_threads(opts.threads, scenarios.len());
@@ -814,7 +814,7 @@ pub fn measure_drift(
     config.max_endpoint_firings = endpoint_firings;
     let report = Simulator::new(tg, plan, config)?.run();
     match report.outcome {
-        SimOutcome::Completed | SimOutcome::HorizonReached => Ok(report.endpoint.max_drift),
+        SimOutcome::Completed => Ok(report.endpoint.max_drift),
         _ => Ok(None),
     }
 }

@@ -536,26 +536,6 @@ fn under_tokened_cycle_deadlocks_identically_across_engines() {
     );
 }
 
-#[test]
-fn horizon_mode_is_identical_across_engines() {
-    let tg = mp3_chain();
-    let constraint = mp3_constraint();
-    let analysis = compute_buffer_capacities(&tg, constraint).unwrap();
-    let mut sized = tg.clone();
-    analysis.apply(&mut sized);
-
-    let mut config = SimConfig::self_timed(constraint);
-    config.max_endpoint_firings = u64::MAX;
-    config.max_time = Some(Rational::new(1, 2)); // half a second of audio
-    config.trace = TraceLevel::Endpoint;
-    run_both(
-        &sized,
-        &QuantumPlan::random(7),
-        &config,
-        "mp3 horizon-bounded",
-    );
-}
-
 /// Picks a buffer roughly mid-graph and strangles it below the maximum
 /// production quantum, so a max-quanta scenario eventually wedges every
 /// task: the upstream half fills, the downstream half starves.

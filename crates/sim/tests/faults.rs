@@ -6,12 +6,12 @@
 //!    statistics, event counts) on the MP3 chain and seeded random
 //!    chain/DAG corpora, and the reference engine must refuse a
 //!    non-empty plan.
-//! 2. **Recovery pinning** — the Eq. (4) MP3 capacities absorb an
-//!    upstream stall bounded by the provisioned buffer slack (strict
-//!    periodicity never breaks), a stall past that slack misses and —
-//!    the DAC being exactly rate-matched (`ρ = τ`) — never recovers, and
-//!    an under-provisioned assignment fails under the same bounded fault
-//!    the Eq. (4) assignment absorbs.
+//! 2. **Recovery pinning** — on the MP3 chain and the stereo fork/join
+//!    graph, `d3` with 441 containers of headroom absorbs an upstream
+//!    stall bounded by that slack (strict periodicity never breaks), the
+//!    exact Eq. (4) capacities miss under the same stall and — the DAC
+//!    being exactly rate-matched (`ρ = τ`) — never recover, and an
+//!    under-provisioned assignment misses before the fault strikes.
 //! 3. **Degradation ladder** — a deliberately panicking scenario probe
 //!    and a tick-overflow-forcing graph both complete the battery with
 //!    typed annotations instead of aborting it.
@@ -19,7 +19,7 @@
 use std::time::Duration;
 
 use vrdf_apps::synthetic::{random_chain_of_length, random_dag, ChainSpec, DagSpec};
-use vrdf_apps::{mp3_chain, mp3_constraint};
+use vrdf_apps::{mp3_chain, mp3_constraint, mp3_fork_join};
 use vrdf_core::{
     compute_buffer_capacities, rat, QuantumSet, Rational, TaskGraph, ThroughputConstraint,
 };
@@ -144,49 +144,63 @@ fn mp3_fault_opts() -> FaultValidationOptions {
     }
 }
 
-/// A one-firing 5 ms stall of the sample-rate converter, striking its
-/// 10th firing (≈ 80 ms into the strictly periodic phase).
-fn bounded_stall() -> FaultPlan {
-    FaultPlan::new().stall("vSRC", 10, 1, rat(5, 1_000))
+/// A one-firing 5 ms stall of `task`, striking its 10th firing (≈ 80 ms
+/// into the strictly periodic phase).
+fn bounded_stall(task: &str) -> FaultPlan {
+    FaultPlan::new().stall(task, 10, 1, rat(5, 1_000))
 }
 
-/// `d3`'s Eq. (4) capacity plus 441 containers (one vSRC production
-/// quantum ≈ 10 ms of audio).  The headroom turns into operational
+/// The graphs `vrdf faults` grades, each with the task feeding its sink
+/// edge `d3` — the task the CLI stalls.
+fn fault_studies() -> [(&'static str, TaskGraph, &'static str); 2] {
+    [
+        ("mp3", mp3_chain(), "vSRC"),
+        ("fork-join", mp3_fork_join(), "vMux"),
+    ]
+}
+
+/// Containers added to `d3`'s Eq. (4) capacity: one vSRC production
+/// quantum ≈ 10 ms of audio.  The headroom turns into operational
 /// slack: the DAC's cushion never drops below 441 containers, so stalls
 /// up to 10 ms are absorbed.
-const D3_WITH_HEADROOM: u64 = 882 + 441;
+const D3_HEADROOM: u64 = 441;
 
 #[test]
 fn mp3_with_headroom_absorbs_a_stall_within_the_headroom_budget() {
-    let tg = mp3_chain();
-    let analysis = compute_buffer_capacities(&tg, mp3_constraint()).expect("MP3 analyses");
-    let d3 = tg.buffer_by_name("d3").expect("d3 exists");
-    let report = validate_capacities_under_faults(
-        &tg,
-        &analysis,
-        &[(d3, D3_WITH_HEADROOM)],
-        &bounded_stall(),
-        &mp3_fault_opts(),
-    )
-    .expect("battery runs");
-    assert!(report.all_recovered(), "{report}");
-    for scenario in &report.scenarios {
-        assert_eq!(
-            scenario.verdict,
-            RecoveryVerdict::Unaffected,
-            "{}: a 5 ms stall sits inside the ≈ 10 ms headroom",
-            scenario.name
-        );
-        assert!(
-            scenario.report.faults_injected > 0,
-            "{}: the stall must actually strike",
-            scenario.name
-        );
-        assert!(scenario.report.first_fault_time.is_some());
-        assert!(scenario.report.last_fault_time.is_some());
-        // The transient is visible as backlog, not as deadline misses.
-        for (name, max_occupancy, capacity) in scenario.transient_backlog() {
-            assert!(max_occupancy <= capacity, "{name}: accounting breach");
+    for (study, tg, stalled) in fault_studies() {
+        let analysis = compute_buffer_capacities(&tg, mp3_constraint()).expect("study analyses");
+        let d3 = tg.buffer_by_name("d3").expect("d3 exists");
+        let padded = analysis.capacity_of(d3).expect("d3 analysed").capacity + D3_HEADROOM;
+        let report = validate_capacities_under_faults(
+            &tg,
+            &analysis,
+            &[(d3, padded)],
+            &bounded_stall(stalled),
+            &mp3_fault_opts(),
+        )
+        .expect("battery runs");
+        assert!(report.all_recovered(), "{study}: {report}");
+        for scenario in &report.scenarios {
+            assert_eq!(
+                scenario.verdict,
+                RecoveryVerdict::Unaffected,
+                "{study}/{}: a 5 ms stall sits inside the ≈ 10 ms headroom",
+                scenario.name
+            );
+            assert!(
+                scenario.report.faults_injected > 0,
+                "{study}/{}: the stall must actually strike",
+                scenario.name
+            );
+            assert!(scenario.report.first_fault_time.is_some());
+            assert!(scenario.report.last_fault_time.is_some());
+            // The transient is visible as backlog, not as deadline misses.
+            for (name, max_occupancy, capacity) in scenario.transient_backlog() {
+                assert!(
+                    max_occupancy <= capacity,
+                    "{study}/{name}: accounting breach"
+                );
+            }
         }
     }
 }
@@ -198,21 +212,28 @@ fn mp3_exact_capacities_have_zero_fault_slack() {
     // would otherwise starve, so even a stall far smaller than d3's
     // nominal 20 ms of audio breaks strict periodicity — and the DAC,
     // being exactly rate-matched (ρ = τ), can never re-absorb a backlog:
-    // the misses continue past every recovery window.
-    let tg = mp3_chain();
-    let analysis = compute_buffer_capacities(&tg, mp3_constraint()).expect("MP3 analyses");
-    let report =
-        validate_capacities_under_faults(&tg, &analysis, &[], &bounded_stall(), &mp3_fault_opts())
-            .expect("battery runs");
-    assert!(!report.all_recovered(), "{report}");
-    for scenario in &report.scenarios {
-        assert!(
-            matches!(scenario.verdict, RecoveryVerdict::Missed { misses } if misses > 0),
-            "{}: got {}",
-            scenario.name,
-            scenario.verdict
-        );
-        assert!(scenario.report.last_fault_time.is_some());
+    // the misses continue past every recovery window.  The fork/join
+    // graph's vMux feeds d3 the same way.
+    for (study, tg, stalled) in fault_studies() {
+        let analysis = compute_buffer_capacities(&tg, mp3_constraint()).expect("study analyses");
+        let report = validate_capacities_under_faults(
+            &tg,
+            &analysis,
+            &[],
+            &bounded_stall(stalled),
+            &mp3_fault_opts(),
+        )
+        .expect("battery runs");
+        assert!(!report.all_recovered(), "{study}: {report}");
+        for scenario in &report.scenarios {
+            assert!(
+                matches!(scenario.verdict, RecoveryVerdict::Missed { misses } if misses > 0),
+                "{study}/{}: got {}",
+                scenario.name,
+                scenario.verdict
+            );
+            assert!(scenario.report.last_fault_time.is_some());
+        }
     }
 }
 
@@ -230,7 +251,7 @@ fn under_provisioned_assignment_misses_before_the_fault_and_is_not_graded_recove
         &tg,
         &analysis,
         &[(d3, 441)],
-        &bounded_stall(),
+        &bounded_stall("vSRC"),
         &mp3_fault_opts(),
     )
     .expect("battery runs");
@@ -290,45 +311,16 @@ fn endpoint_with_slack_recovers_with_a_bounded_miss_transient() {
             );
         }
     }
-}
 
-#[test]
-fn drop_retry_and_release_jitter_inject_and_are_graded() {
-    let tg = TaskGraph::linear_chain(
-        [("src", rat(1, 1)), ("snk", rat(1, 1))],
-        [("b", QuantumSet::constant(1), QuantumSet::constant(1))],
-    )
-    .expect("valid chain");
-    let constraint = ThroughputConstraint::on_sink(rat(2, 1)).expect("positive period");
-    let analysis = compute_buffer_capacities(&tg, constraint).expect("pair analyses");
-    let opts = FaultValidationOptions {
-        validation: ValidationOptions {
-            endpoint_firings: 50,
-            random_runs: 1,
-            ..ValidationOptions::default()
-        },
-        recovery_firings: 8,
-    };
-    // One dropped firing retried twice costs 2·ρ = 2 extra — same shape
-    // as a stall, distinct bookkeeping.
-    let drops = FaultPlan::new().drop_retry("snk", 3, 1, 2);
-    let report =
-        validate_capacities_under_faults(&tg, &analysis, &[], &drops, &opts).expect("battery runs");
+    // A firing dropped and redone twice is a stall of 2·ρ = 2.
+    let redone = FaultPlan::new().stall("snk", 3, 1, rat(2, 1));
+    let report = validate_capacities_under_faults(&tg, &analysis, &[], &redone, &opts)
+        .expect("battery runs");
     assert!(report.all_recovered(), "{report}");
     assert!(report
         .scenarios
         .iter()
         .all(|s| s.report.faults_injected > 0));
-
-    // Release jitter delays the deadline together with the release, so a
-    // bounded jitter window alone never produces a miss.
-    let jitter = FaultPlan::new().delay_releases(5, 3, rat(1, 2));
-    let report = validate_capacities_under_faults(&tg, &analysis, &[], &jitter, &opts)
-        .expect("battery runs");
-    assert!(report.all_recovered(), "{report}");
-    for scenario in &report.scenarios {
-        assert_eq!(scenario.report.faults_injected, 3, "{}", scenario.name);
-    }
 }
 
 #[test]
@@ -442,7 +434,7 @@ fn reference_engine_refuses_a_non_empty_fault_plan() {
     let analysis = compute_buffer_capacities(&tg, mp3_constraint()).expect("MP3 analyses");
     let sized = analysis.with_capacities(&tg, &[]);
     let mut config = SimConfig::self_timed(mp3_constraint());
-    config.faults = bounded_stall();
+    config.faults = bounded_stall("vSRC");
     match ReferenceSimulator::new(&sized, QuantumPlan::uniform(QuantumPolicy::Max), config) {
         Err(SimError::InvalidFault { detail }) => {
             assert!(detail.contains("reference engine"), "{detail}")

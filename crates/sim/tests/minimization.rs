@@ -68,10 +68,7 @@ fn mp3_driver_lands_on_d3_881_and_880_violates() {
     assert!(failure.occupancy_breaches.is_empty());
     assert!(
         failure.first_violation().is_some()
-            || !matches!(
-                failure.report.outcome,
-                vrdf_sim::SimOutcome::Completed | vrdf_sim::SimOutcome::HorizonReached
-            ),
+            || failure.report.outcome != vrdf_sim::SimOutcome::Completed,
         "{starved}"
     );
 }

@@ -3,15 +3,18 @@
 //!
 //! Each corpus entry is a deliberately pathological graph (cycles,
 //! orphans, zero rates, zero quanta, huge denominators, zero
-//! capacities).  The test drives the full public pipeline over each —
-//! capacity analysis, the scenario battery, the minimization search,
-//! both simulator engines — and only requires that each call returns
-//! *some* `Result` (or a graded report) without unwinding.
+//! capacities, Eq. (1)–(4) values past the exact arithmetic's range).
+//! The test drives the full public pipeline over each — the VRDF
+//! analysis and both constant-rate (SDF) analyses, the scenario battery,
+//! the minimization search, both simulator engines — and only requires
+//! that each call returns *some* `Result` (or a graded report) without
+//! unwinding.
 
 use vrdf_core::{
     compute_buffer_capacities, rat, AnalysisError, QuantumSet, Rational, TaskGraph,
     ThroughputConstraint,
 };
+use vrdf_sdf::{analyze, baseline_capacities, CsdfGraph, SdfError};
 use vrdf_sim::{
     conservative_offset, minimize_capacities, validate_capacities,
     validate_capacities_under_faults, FaultPlan, FaultValidationOptions, QuantumPlan,
@@ -256,7 +259,51 @@ fn corpus() -> Vec<Pathology> {
         analysable: false,
     });
 
+    out.extend(overflowing());
     out
+}
+
+/// Pairs whose Eq. (1)–(4) values leave the range of the exact
+/// arithmetic: every analysis — VRDF and both constant-rate ones — must
+/// refuse them with `ArithmeticOverflow`.
+fn overflowing() -> Vec<Pathology> {
+    // Quanta near 2^63: the Eq. (4) capacity overflows u64.
+    let huge_quantum = (1u64 << 63) - 1;
+    let wrap = TaskGraph::linear_chain(
+        [("a", rat(1, 3)), ("b", rat(1, 5))],
+        [(
+            "ab",
+            QuantumSet::constant(huge_quantum),
+            QuantumSet::new([1, huge_quantum]).expect("non-empty set"),
+        )],
+    )
+    .expect("valid chain");
+    // Coprime denominators near i128::MAX / 2: the bound distances
+    // overflow i128 rationals.
+    let h = i128::MAX / 2 - 1;
+    let fine = TaskGraph::linear_chain(
+        [("a", Rational::new(1, h)), ("b", Rational::new(1, h - 2))],
+        [(
+            "ab",
+            QuantumSet::constant(3),
+            QuantumSet::new([1, 2]).expect("non-empty set"),
+        )],
+    )
+    .expect("valid chain");
+    vec![
+        Pathology {
+            name: "capacity-past-u64",
+            tg: wrap,
+            constraint: ThroughputConstraint::on_sink(rat(1, 1)).expect("positive"),
+            analysable: false,
+        },
+        Pathology {
+            name: "gaps-past-i128",
+            tg: fine,
+            constraint: ThroughputConstraint::on_sink(Rational::new(1, h - 4)).expect("positive"),
+            analysable: false,
+        },
+    ]
 }
 
 /// Small, fast battery options.
@@ -271,6 +318,10 @@ fn quick_opts() -> ValidationOptions {
 #[test]
 fn every_entry_point_is_total_over_the_pathology_corpus() {
     for p in corpus() {
+        // Both constant-rate analyses, whatever the VRDF disposition.
+        let _ = baseline_capacities(&p.tg, p.constraint);
+        let _ = analyze(&CsdfGraph::lower_constant_max(&p.tg), p.constraint);
+
         // Analysis: Err for the structurally broken graphs, Ok otherwise.
         let analysis = compute_buffer_capacities(&p.tg, p.constraint);
         assert_eq!(
@@ -330,6 +381,42 @@ fn every_entry_point_is_total_over_the_pathology_corpus() {
         {
             let _ = sim.run();
         }
+    }
+}
+
+#[test]
+fn every_analysis_refuses_an_overflowing_pair_with_a_typed_error() {
+    // The overflowing computation, when the error is `ArithmeticOverflow`.
+    fn overflow(e: AnalysisError) -> Option<&'static str> {
+        match e {
+            AnalysisError::ArithmeticOverflow { context } => Some(context),
+            _ => None,
+        }
+    }
+    fn sdf_overflow(e: SdfError) -> Option<&'static str> {
+        match e {
+            SdfError::Core(e) => overflow(e),
+            _ => None,
+        }
+    }
+    for p in overflowing() {
+        let vrdf = compute_buffer_capacities(&p.tg, p.constraint)
+            .err()
+            .and_then(overflow);
+        let baseline = baseline_capacities(&p.tg, p.constraint)
+            .err()
+            .and_then(sdf_overflow);
+        let lowered = analyze(&CsdfGraph::lower_constant_max(&p.tg), p.constraint)
+            .err()
+            .and_then(sdf_overflow);
+        assert!(
+            vrdf.is_some(),
+            "{}: the VRDF analysis must overflow",
+            p.name
+        );
+        // One Eq. (1)–(4) path: all three stop at the same equation.
+        assert_eq!(baseline, vrdf, "{}: baseline analysis", p.name);
+        assert_eq!(lowered, vrdf, "{}: constant-max analysis", p.name);
     }
 }
 
