@@ -780,14 +780,14 @@ pub mod synthetic {
 }
 
 /// Trace-export plumbing behind the `vrdf` binary's `--trace-out`
-/// flag: runs the graph fully instrumented (telemetry on, tracing at
-/// [`vrdf_sim::TraceLevel::All`]) under the all-max quantum scenario
+/// flag: runs the graph traced at [`vrdf_sim::TraceLevel::All`] (every
+/// firing and every occupancy change) under the all-max quantum scenario
 /// with the Eq. (4) capacities applied and the endpoint strictly
 /// periodic at the conservative offset, renders the firing timeline as
 /// Chrome-trace/Perfetto JSON ([`vrdf_sim::perfetto_trace`]), and
 /// writes it to `path`.
 ///
-/// Returns the instrumented run's report so callers can surface firing
+/// Returns the traced run's report so callers can surface firing
 /// counts next to the file path.
 ///
 /// # Errors
@@ -813,7 +813,6 @@ pub fn export_trace(
     let mut config = SimConfig::periodic(constraint, offset);
     config.max_endpoint_firings = endpoint_firings;
     config.trace = TraceLevel::All;
-    config.telemetry = true;
     let report = Simulator::new(&sized, QuantumPlan::uniform(QuantumPolicy::Max), config)
         .map_err(|e| format!("simulator construction failed: {e}"))?
         .run();

@@ -4,6 +4,8 @@
 //! malformed value prints an `error:` line to stderr and exits 2.  A
 //! missing or unknown subcommand exits 2 with every usage line.  A flag
 //! value the run cannot use is an `error:` line too, never a panic.
+//! `--metrics` adds a counter table on stderr that no thread count
+//! changes.
 
 use std::process::Command;
 
@@ -145,4 +147,31 @@ fn a_value_the_run_cannot_use_is_an_error_not_a_panic() {
         assert!(stderr.contains(message), "{args:?}: {stderr}");
         assert!(code == 1 || stdout.is_empty(), "{args:?}: {stdout}");
     }
+}
+
+#[test]
+fn metrics_counters_are_identical_at_every_thread_count() {
+    const ROWS: [&str; 7] = [
+        "events popped",
+        "firings started",
+        "firings finished",
+        "settling passes",
+        "wheel pushes",
+        "overflow pushes",
+        "policy dispatches",
+    ];
+    let metrics = |threads: &str| {
+        let line = format!("minimize --metrics --firings 2000 --threads {threads}");
+        let args: Vec<&str> = line.split(' ').collect();
+        let (code, stdout, stderr) = run(&args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("dirty sweeps"), "{args:?}: {stderr}");
+        let rows = ROWS.map(|label| {
+            let row = stderr.lines().find(|l| l.trim_start().starts_with(label));
+            row.unwrap_or_else(|| panic!("{args:?}: no `{label}` row in {stderr}"))
+                .to_owned()
+        });
+        (stdout, rows)
+    };
+    assert_eq!(metrics("1"), metrics("2"), "stdout or counters differ");
 }

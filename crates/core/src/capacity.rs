@@ -167,7 +167,8 @@ impl GraphAnalysis {
     }
 
     /// Sum of all buffer capacities in containers — the figure of merit
-    /// the paper's evaluation compares.
+    /// the paper's evaluation compares.  Never wraps: the analysis
+    /// refuses capacities whose sum leaves `u64`.
     pub fn total_capacity(&self) -> u64 {
         self.capacities.iter().map(|c| c.capacity).sum()
     }
@@ -216,8 +217,9 @@ impl GraphAnalysis {
 /// * [`AnalysisError::ZeroQuantumNotSupported`] from rate derivation.
 /// * [`AnalysisError::InfeasibleResponseTime`] when a response time
 ///   exceeds `φ(v)`.
-/// * [`AnalysisError::ArithmeticOverflow`] when the rate walk or an
-///   Eq. (1)–(4) value leaves the range of the exact arithmetic.
+/// * [`AnalysisError::ArithmeticOverflow`] when the rate walk, an
+///   Eq. (1)–(4) value or the total capacity leaves the range of the
+///   exact arithmetic.
 ///
 /// # Examples
 ///
@@ -387,6 +389,12 @@ fn assemble(
             initial_tokens: buffer.initial_tokens(),
         });
     }
+    let total = capacities
+        .iter()
+        .try_fold(0u64, |t, c| t.checked_add(c.capacity));
+    total.ok_or(AnalysisError::ArithmeticOverflow {
+        context: "the total capacity",
+    })?;
 
     Ok(GraphAnalysis {
         constraint,

@@ -66,9 +66,6 @@
 //!   place every analysis evaluates them.
 //! * [`capacity`] — the buffer-capacity algorithm (Eq. 4), feasibility
 //!   checks, and the producer–consumer pair shortcut.
-//! * [`obs`] — shared observability primitives: the coarse counter set
-//!   ([`CoreCounters`]) every executor in the workspace reports when
-//!   telemetry is enabled.
 //!
 //! The companion crates build on this one: `vrdf-sim` (discrete-event
 //! self-timed simulator used to verify sufficiency), `vrdf-sdf` (the
@@ -84,7 +81,6 @@
 pub mod bounds;
 pub mod capacity;
 pub mod error;
-pub mod obs;
 pub mod quantum;
 pub mod rates;
 pub mod rational;
@@ -97,7 +93,6 @@ pub use capacity::{
     FeasibilityViolation, GraphAnalysis,
 };
 pub use error::AnalysisError;
-pub use obs::CoreCounters;
 pub use quantum::QuantumSet;
 pub use rates::{ConstraintLocation, PairTiming, RateAssignment, ThroughputConstraint};
 pub use rational::{rat, ParseRationalError, Rational};

@@ -36,7 +36,7 @@ use vrdf_core::{
     AnalysisError, ConstraintLocation, PairGaps, Rational, TaskGraph, TaskId, ThroughputConstraint,
 };
 
-use crate::csdf::{iteration_period, per, solve_balance, ChannelRates, CsdfGraph};
+use crate::csdf::{iteration_period, overflow, per, solve_balance, ChannelRates, CsdfGraph};
 use crate::SdfError;
 use vrdf_core::BufferId;
 
@@ -95,7 +95,8 @@ impl BaselineAnalysis {
         self.edges.iter().find(|e| e.buffer == buffer)
     }
 
-    /// Sum of all baseline capacities in containers.
+    /// Sum of all baseline capacities in containers.  Never wraps:
+    /// [`baseline_capacities`] refuses capacities whose sum leaves `u64`.
     pub fn total_capacity(&self) -> u64 {
         self.edges.iter().map(|e| e.capacity).sum()
     }
@@ -175,8 +176,8 @@ impl BaselineAnalysis {
 /// * [`SdfError::Core`]([`AnalysisError::InfeasibleResponseTime`]) when
 ///   a response time exceeds its conservative cadence.
 /// * [`SdfError::Core`]([`AnalysisError::ArithmeticOverflow`]) when a
-///   cadence, token period or Eq. (1)–(4) value leaves the range of the
-///   exact arithmetic.
+///   cadence, token period, Eq. (1)–(4) value or the total capacity
+///   leaves the range of the exact arithmetic.
 pub fn baseline_capacities(
     tg: &TaskGraph,
     constraint: ThroughputConstraint,
@@ -290,6 +291,10 @@ pub fn baseline_capacities(
             initial_tokens: buffer.initial_tokens(),
         });
     }
+    let total = edges
+        .iter()
+        .try_fold(0u64, |t, e| t.checked_add(e.capacity));
+    total.ok_or_else(|| overflow("the total capacity"))?;
 
     Ok(BaselineAnalysis {
         constraint,

@@ -263,8 +263,10 @@ impl CsdfGraph {
     ///
     /// [`SdfError::DuplicateName`], [`SdfError::UnknownActor`],
     /// [`SdfError::PhaseMismatch`] when a rate vector does not match its
-    /// actor's phase count, or [`SdfError::ZeroCycleRate`] when a side
-    /// transfers nothing over a full cycle.
+    /// actor's phase count, [`SdfError::ZeroCycleRate`] when a side
+    /// transfers nothing over a full cycle, or
+    /// [`SdfError::RepetitionOverflow`] when a side's per-cycle sum does
+    /// not fit `u64` (so the per-cycle totals never wrap).
     pub fn connect(
         &mut self,
         name: impl Into<String>,
@@ -302,6 +304,10 @@ impl CsdfGraph {
                     channel: name,
                     role,
                 });
+            }
+            let per_cycle = rates.iter().try_fold(0u64, |sum, &r| sum.checked_add(r));
+            if per_cycle.is_none() {
+                return Err(SdfError::RepetitionOverflow);
             }
         }
         let id = ChannelId(self.channels.len());
@@ -784,7 +790,8 @@ impl CsdfAnalysis {
         self.capacities.iter().find(|c| c.channel == channel)
     }
 
-    /// Sum of all channel capacities in containers.
+    /// Sum of all channel capacities in containers.  Never wraps:
+    /// [`analyze`] refuses capacities whose sum leaves `u64`.
     pub fn total_capacity(&self) -> u64 {
         self.capacities.iter().map(|c| c.capacity).sum()
     }
@@ -853,8 +860,8 @@ impl CsdfAnalysis {
 /// [`SdfError::InfeasibleResponseTime`] when an actor's worst-case phase
 /// response time exceeds its cadence `φ(a)`, or
 /// [`SdfError::Core`]([`AnalysisError::ArithmeticOverflow`]) when a
-/// cadence, token period or Eq. (1)–(4) value leaves the range of the
-/// exact arithmetic.
+/// cadence, token period, Eq. (1)–(4) value or the total capacity leaves
+/// the range of the exact arithmetic.
 pub fn analyze(g: &CsdfGraph, constraint: ThroughputConstraint) -> Result<CsdfAnalysis, SdfError> {
     let repetition = g.repetition_vector()?;
     let endpoint = g.unique_endpoint(constraint.location())?;
@@ -904,6 +911,10 @@ pub fn analyze(g: &CsdfGraph, constraint: ThroughputConstraint) -> Result<CsdfAn
             total_gap: gaps.total_gap(),
         });
     }
+    let total = capacities
+        .iter()
+        .try_fold(0u64, |t, c| t.checked_add(c.capacity));
+    total.ok_or_else(|| overflow("the total capacity"))?;
 
     Ok(CsdfAnalysis {
         constraint,
@@ -939,7 +950,7 @@ pub(crate) fn per(
         .ok_or_else(|| overflow(context))
 }
 
-fn overflow(context: &'static str) -> SdfError {
+pub(crate) fn overflow(context: &'static str) -> SdfError {
     SdfError::Core(AnalysisError::ArithmeticOverflow { context })
 }
 
@@ -1133,6 +1144,11 @@ mod tests {
                 role: "consumption",
                 ..
             })
+        ));
+        // A per-cycle sum past `u64` would wrap the balance equations.
+        assert!(matches!(
+            g.connect("c", b, a, [u64::MAX, 2], [1]),
+            Err(SdfError::RepetitionOverflow)
         ));
         g.connect("c", a, b, [1], [0, 2]).unwrap();
         assert!(matches!(

@@ -28,7 +28,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
-use vrdf_core::{CoreCounters, Rational, ThroughputConstraint};
+use vrdf_core::{Rational, ThroughputConstraint};
 
 use crate::csdf::{ActorId, ChannelId, CsdfGraph};
 use crate::SdfError;
@@ -42,10 +42,8 @@ const MAX_BOUNDARIES: u64 = 1024;
 pub struct ExecOptions {
     /// Event budget before [`SdfError::BudgetExhausted`].
     pub max_events: u64,
-    /// Collect coarse activity counters ([`vrdf_core::CoreCounters`])
-    /// into [`SteadyState::counters`].  Gated like `vrdf-sim`'s
-    /// telemetry: the hooks are always compiled in, and a disabled run
-    /// is bit-identical to an uninstrumented one.  `false` by default.
+    /// Report the run's [`CoreCounters`] in [`SteadyState::counters`].
+    /// The run is the same either way.  `false` by default.
     pub telemetry: bool,
 }
 
@@ -56,6 +54,21 @@ impl Default for ExecOptions {
             telemetry: false,
         }
     }
+}
+
+/// Coarse activity counters of one [`steady_state`] run, in the
+/// vocabulary of `vrdf-sim`'s engine counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CoreCounters {
+    /// Events popped off the event queue.
+    pub events_popped: u64,
+    /// Firings started (tokens consumed, space claimed).
+    pub firings_started: u64,
+    /// Firings finished (space freed, tokens produced).
+    pub firings_finished: u64,
+    /// Settling passes: rounds of the settle loop that drained a finish
+    /// or started a firing.
+    pub settling_passes: u64,
 }
 
 /// How a self-timed execution resolved.
@@ -184,7 +197,7 @@ struct Executor<'a> {
     seq: u64,
     now: i128,
     events: u64,
-    counters: CoreCounters,
+    settling_passes: u64,
 }
 
 impl<'a> Executor<'a> {
@@ -251,7 +264,7 @@ impl<'a> Executor<'a> {
             seq: 0,
             now: 0,
             events: 0,
-            counters: CoreCounters::default(),
+            settling_passes: 0,
         })
     }
 
@@ -299,9 +312,6 @@ impl<'a> Executor<'a> {
         let actor = &mut self.actors[a];
         actor.busy_until = Some(finish);
         actor.started += 1;
-        if self.opts.telemetry {
-            self.counters.firings_started += 1;
-        }
         self.seq += 1;
         self.heap.push(Reverse((finish, self.seq, a)));
     }
@@ -327,9 +337,6 @@ impl<'a> Executor<'a> {
         let actor = &mut self.actors[a];
         actor.busy_until = None;
         actor.finished += 1;
-        if self.opts.telemetry {
-            self.counters.firings_finished += 1;
-        }
     }
 
     /// Processes every finish event due at `now`; `Ok(true)` when any
@@ -349,9 +356,6 @@ impl<'a> Executor<'a> {
             #[allow(clippy::expect_used)]
             let Reverse((_, _, a)) = self.heap.pop().expect("peeked");
             self.events += 1;
-            if self.opts.telemetry {
-                self.counters.events_popped += 1;
-            }
             self.apply_finish(a);
             any = true;
         }
@@ -384,10 +388,18 @@ impl<'a> Executor<'a> {
             if !drained && !started {
                 return Ok(());
             }
-            if self.opts.telemetry {
-                self.counters.settling_passes += 1;
-            }
+            self.settling_passes += 1;
         }
+    }
+
+    /// The run's counters so far; `None` unless the options ask for them.
+    fn counters(&self) -> Option<CoreCounters> {
+        self.opts.telemetry.then(|| CoreCounters {
+            events_popped: self.events,
+            firings_started: self.actors.iter().map(|a| a.started).sum(),
+            firings_finished: self.actors.iter().map(|a| a.finished).sum(),
+            settling_passes: self.settling_passes,
+        })
     }
 
     fn snapshot(&self) -> StateKey {
@@ -482,7 +494,7 @@ pub fn steady_state(
                         boundaries,
                         events: exec.events,
                         firings: exec.actors.iter().map(|a| a.finished).collect(),
-                        counters: opts.telemetry.then_some(exec.counters),
+                        counters: exec.counters(),
                     });
                 }
                 Entry::Vacant(slot) => {
@@ -509,7 +521,7 @@ pub fn steady_state(
                     boundaries,
                     events: exec.events,
                     firings: exec.actors.iter().map(|a| a.finished).collect(),
-                    counters: opts.telemetry.then_some(exec.counters),
+                    counters: exec.counters(),
                 });
             }
         }

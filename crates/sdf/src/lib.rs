@@ -54,8 +54,8 @@ pub use csdf::{
 };
 pub use error::SdfError;
 pub use exec::{
-    minimize_sdf_capacities, steady_state, ExecOptions, ExecOutcome, SdfChannelMinimum,
-    SdfMinimizationReport, SdfSearchOptions, SteadyState,
+    minimize_sdf_capacities, steady_state, CoreCounters, ExecOptions, ExecOutcome,
+    SdfChannelMinimum, SdfMinimizationReport, SdfSearchOptions, SteadyState,
 };
 
 use vrdf_core::{AnalysisError, TaskGraph};

@@ -141,11 +141,6 @@ pub struct SimConfig {
     /// inflate the affected firings' response times.  Empty by default;
     /// an empty plan runs the fault-free engine bit for bit.
     pub faults: FaultPlan,
-    /// Collect [`EngineCounters`], reset/run phase spans, and — at
-    /// [`TraceLevel::All`] — per-buffer occupancy samples
-    /// ([`SimReport::occupancy`]).  `false` by default; a run with it off
-    /// is bit-identical to one with it on, minus the extra data.
-    pub telemetry: bool,
 }
 
 impl SimConfig {
@@ -160,7 +155,6 @@ impl SimConfig {
             trace: TraceLevel::None,
             stop_on_violation: false,
             faults: FaultPlan::default(),
-            telemetry: false,
         }
     }
 
@@ -361,19 +355,16 @@ pub struct SimReport {
     /// last stalled firing.  `None` when no fault struck; recovery
     /// windows are measured from here.
     pub last_fault_time: Option<Rational>,
-    /// Engine activity counters; `Some` iff the run's config enables
-    /// telemetry ([`SimConfig::telemetry`]).
-    pub counters: Option<EngineCounters>,
+    /// Engine activity counters.
+    pub counters: EngineCounters,
     /// Buffer-occupancy history, one sample per occupancy change.
-    /// Non-empty only for telemetry-enabled runs traced at
-    /// [`TraceLevel::All`]; the Perfetto exporter renders these as
-    /// counter tracks.
+    /// Non-empty only for runs traced at [`TraceLevel::All`]; the
+    /// Perfetto exporter renders these as counter tracks.
     pub occupancy: Vec<OccupancySample>,
-    /// Wall-clock spans of the reset and run phases; `Some` iff the run's
-    /// config enables telemetry.  Wall times live here, outside
-    /// every compared field, so differential comparisons and merged
-    /// results stay deterministic.
-    pub spans: Option<PhaseTimes>,
+    /// Wall-clock spans of the reset and run phases.  Wall times live
+    /// here, outside every compared field, so differential comparisons
+    /// and merged results stay deterministic.
+    pub spans: PhaseTimes,
 }
 
 impl SimReport {
@@ -504,7 +495,7 @@ impl EventQueue {
     }
 
     /// Queues one event; returns `true` when it landed on the O(1)
-    /// wheel, `false` when it fell back to the overflow heap (telemetry
+    /// wheel, `false` when it fell back to the overflow heap (the engine
     /// counts the split to surface mis-sized wheels).
     #[inline]
     fn push(&mut self, now: i128, time: i128, seq: u64, node: u32) -> bool {
@@ -723,18 +714,12 @@ pub struct SimPlan<'a> {
     /// emptiness check so a fault-free plan stays bit-identical to the
     /// pre-fault engine.
     faults: CompiledFaults,
-    /// Whether runs of this plan collect [`EngineCounters`], phase spans,
-    /// and (at [`TraceLevel::All`]) occupancy samples.  Gated exactly
-    /// like `faults`: every hook checks this one boolean, so a disabled
-    /// plan is bit-identical to the pre-telemetry engine
-    /// (`tests/telemetry.rs` pins it).
-    telemetry: bool,
 }
 
 impl<'a> SimPlan<'a> {
     /// Builds the reusable plan for a task graph (chain or fork/join DAG)
     /// under one [`SimConfig`], compiling its fault plan onto the tick
-    /// clock and fixing its telemetry gate for every run.
+    /// clock.
     ///
     /// Buffers may still be missing capacities here — defaults are taken
     /// from the graph and checked (after per-run overrides) when a run
@@ -854,7 +839,6 @@ impl<'a> SimPlan<'a> {
         } else {
             config.faults.compile(tg, &task_pos, tick_den)?
         };
-        let telemetry = config.telemetry;
 
         Ok(SimPlan {
             tg,
@@ -878,7 +862,6 @@ impl<'a> SimPlan<'a> {
             buf_pos,
             wheel_hint,
             faults,
-            telemetry,
         })
     }
 
@@ -951,24 +934,17 @@ impl<'a> SimPlan<'a> {
         capacities: &[(BufferId, u64)],
     ) -> Result<SimReport, SimError> {
         quanta.validate(self.tg)?;
-        // Span timing is gated like every other hook: a disabled plan
-        // never reads the clock.
-        let reset_begin = self.telemetry.then(Instant::now);
+        let reset_begin = Instant::now();
         state.reset(self, quanta, capacities)?;
-        let run_begin = self.telemetry.then(Instant::now);
+        let run_begin = Instant::now();
         let mut exec = Exec {
             plan: self,
             st: state,
         };
         let outcome = exec.run_loop();
         let mut report = exec.report(outcome);
-        if let (Some(reset_begin), Some(run_begin)) = (reset_begin, run_begin) {
-            report.spans = Some(PhaseTimes {
-                reset: run_begin - reset_begin,
-                run: run_begin.elapsed(),
-                ..PhaseTimes::default()
-            });
-        }
+        report.spans.reset = run_begin - reset_begin;
+        report.spans.run = run_begin.elapsed();
         Ok(report)
     }
 }
@@ -1011,11 +987,6 @@ pub struct SimState {
     production: Vec<CompiledQuantum>,
     /// The consumer side's quantum sequence, compiled for this run.
     consumption: Vec<CompiledQuantum>,
-    /// Whether every compiled sequence is a firing-independent constant
-    /// (min/max/constant policies — the common probe workload).  Then the
-    /// per-edge claims are preloaded at reset and the hot enable check
-    /// skips the policy dispatch entirely.
-    fixed_quanta: bool,
     // ---- run bookkeeping ----
     queue: EventQueue,
     seq: u64,
@@ -1038,11 +1009,12 @@ pub struct SimState {
     first_fault: Option<i128>,
     /// Last instant a fault perturbed the run, in ticks.
     last_fault: Option<i128>,
-    /// Telemetry counters; only touched when the plan enables telemetry.
+    /// The counters no other state implies: overflow pushes, settling
+    /// passes, policy dispatches.  The report derives the rest.
     counters: EngineCounters,
     /// Occupancy samples `(buffer-state index, tick, occupancy)`; only
-    /// filled for telemetry-enabled runs traced at [`TraceLevel::All`],
-    /// converted to [`OccupancySample`]s at the report boundary.
+    /// filled for runs traced at [`TraceLevel::All`], converted to
+    /// [`OccupancySample`]s at the report boundary.
     occupancy: Vec<(u32, i128, u64)>,
 }
 
@@ -1067,7 +1039,6 @@ impl SimState {
             consumed: vec![0; nb],
             production: Vec::with_capacity(nb),
             consumption: Vec::with_capacity(nb),
-            fixed_quanta: false,
             queue: EventQueue::new(nt + 1, plan.wheel_hint),
             seq: 0,
             releases_issued: 0,
@@ -1137,21 +1108,6 @@ impl SimState {
                 Side::Consumption,
             ));
         }
-        self.fixed_quanta = self
-            .production
-            .iter()
-            .chain(self.consumption.iter())
-            .all(|q| matches!(q, CompiledQuantum::Fixed(_)));
-        if self.fixed_quanta {
-            // Firing-independent claims never change: load them once and
-            // let the enable check read them back without a draw.
-            for (e, &bi) in plan.in_buf.iter().enumerate() {
-                self.claimed_in[e] = self.consumption[bi as usize].draw(0);
-            }
-            for (e, &bi) in plan.out_buf.iter().enumerate() {
-                self.claimed_out[e] = self.production[bi as usize].draw(0);
-            }
-        }
 
         // Buffers start holding their initial tokens (zero except on
         // feedback edges), which occupy capacity from the first instant.
@@ -1214,13 +1170,8 @@ impl SimState {
         if let Some(offset) = plan.offset {
             if plan.config.max_endpoint_firings > 0 {
                 self.seq += 1;
-                let on_wheel = self.queue.push(self.now, offset, self.seq, nt as u32);
-                if plan.telemetry {
-                    if on_wheel {
-                        self.counters.wheel_pushes += 1;
-                    } else {
-                        self.counters.overflow_pushes += 1;
-                    }
+                if !self.queue.push(self.now, offset, self.seq, nt as u32) {
+                    self.counters.overflow_pushes += 1;
                 }
             }
         }
@@ -1246,13 +1197,8 @@ impl Exec<'_, '_> {
     #[inline]
     fn push(&mut self, time: i128, node: u32) {
         self.st.seq += 1;
-        let on_wheel = self.st.queue.push(self.st.now, time, self.st.seq, node);
-        if self.plan.telemetry {
-            if on_wheel {
-                self.st.counters.wheel_pushes += 1;
-            } else {
-                self.st.counters.overflow_pushes += 1;
-            }
+        if !self.st.queue.push(self.st.now, time, self.st.seq, node) {
+            self.st.counters.overflow_pushes += 1;
         }
     }
 
@@ -1288,19 +1234,11 @@ impl Exec<'_, '_> {
             }
         }
         let k = st.started[pos];
-        let fixed = st.fixed_quanta;
         for e in plan.in_start[pos] as usize..plan.in_start[pos + 1] as usize {
             let bi = plan.in_buf[e] as usize;
-            let need = if fixed {
-                st.claimed_in[e]
-            } else {
-                if plan.telemetry {
-                    st.counters.policy_dispatches += 1;
-                }
-                let need = st.consumption[bi].draw(k);
-                st.claimed_in[e] = need;
-                need
-            };
+            st.counters.policy_dispatches += 1;
+            let need = st.consumption[bi].draw(k);
+            st.claimed_in[e] = need;
             if st.tokens[bi] < need {
                 return Err(BlockReason::NeedTokens {
                     buffer: plan.buffer_ids[bi],
@@ -1311,16 +1249,9 @@ impl Exec<'_, '_> {
         }
         for e in plan.out_start[pos] as usize..plan.out_start[pos + 1] as usize {
             let bi = plan.out_buf[e] as usize;
-            let need = if fixed {
-                st.claimed_out[e]
-            } else {
-                if plan.telemetry {
-                    st.counters.policy_dispatches += 1;
-                }
-                let need = st.production[bi].draw(k);
-                st.claimed_out[e] = need;
-                need
-            };
+            st.counters.policy_dispatches += 1;
+            let need = st.production[bi].draw(k);
+            st.claimed_out[e] = need;
             if st.space[bi] < need {
                 return Err(BlockReason::NeedSpace {
                     buffer: plan.buffer_ids[bi],
@@ -1339,8 +1270,8 @@ impl Exec<'_, '_> {
         let k = self.st.started[pos];
         let immediate_free = pos == plan.endpoint && plan.immediate_free;
         // Occupancy history is a trace-grade artifact: sampled only when
-        // telemetry is on *and* the run keeps the full firing trace.
-        let sample = plan.telemetry && plan.config.trace == TraceLevel::All;
+        // the run keeps the full firing trace.
+        let sample = plan.config.trace == TraceLevel::All;
         let mut consumed = 0u64;
         let mut produced = 0u64;
         for e in plan.in_start[pos] as usize..plan.in_start[pos + 1] as usize {
@@ -1371,9 +1302,6 @@ impl Exec<'_, '_> {
                 self.st.occupancy.push((bi as u32, self.st.now, occupancy));
             }
             produced += p;
-        }
-        if plan.telemetry {
-            self.st.counters.firings_started += 1;
         }
         let start = self.st.now;
         let rho = plan.rho[pos];
@@ -1434,7 +1362,7 @@ impl Exec<'_, '_> {
         // is ever in flight), so its quanta still sit in the scratch —
         // a busy task never reaches the scratch writes in `startable`.
         let immediate_free = pos == plan.endpoint && plan.immediate_free;
-        let sample = plan.telemetry && plan.config.trace == TraceLevel::All;
+        let sample = plan.config.trace == TraceLevel::All;
         if !immediate_free {
             for e in plan.in_start[pos] as usize..plan.in_start[pos + 1] as usize {
                 let bi = plan.in_buf[e] as usize;
@@ -1457,9 +1385,6 @@ impl Exec<'_, '_> {
         }
         self.st.busy[pos] = false;
         self.st.finished[pos] += 1;
-        if plan.telemetry {
-            self.st.counters.firings_finished += 1;
-        }
         // The task itself is enabled again now that it is idle.
         self.mark_dirty(pos);
     }
@@ -1477,7 +1402,6 @@ impl Exec<'_, '_> {
     /// positions at or behind the scan cursor — so this is exactly the
     /// reference's ascending-position re-scan, without a sort.
     fn try_starts(&mut self) {
-        let telemetry = self.plan.telemetry;
         loop {
             let mut any_dirty = false;
             for w in 0..self.st.dirty.len() {
@@ -1486,9 +1410,6 @@ impl Exec<'_, '_> {
                     continue;
                 }
                 any_dirty = true;
-                if telemetry {
-                    self.st.counters.dirty_sweeps += 1;
-                }
                 self.st.dirty[w] = 0;
                 while bits != 0 {
                     let pos = (w << 6) | bits.trailing_zeros() as usize;
@@ -1501,9 +1422,7 @@ impl Exec<'_, '_> {
             if !any_dirty {
                 return;
             }
-            if telemetry {
-                self.st.counters.settling_passes += 1;
-            }
+            self.st.counters.settling_passes += 1;
         }
     }
 
@@ -1524,9 +1443,6 @@ impl Exec<'_, '_> {
                 return;
             };
             self.st.events_processed += 1;
-            if self.plan.telemetry {
-                self.st.counters.events_popped += 1;
-            }
             if node == release_node {
                 self.st.releases_issued += 1;
                 self.mark_dirty(self.plan.endpoint);
@@ -1676,9 +1592,16 @@ impl Exec<'_, '_> {
             faults_injected: self.st.faults_injected,
             first_fault_time: self.st.first_fault.map(|t| self.rational(t)),
             last_fault_time: self.st.last_fault.map(|t| self.rational(t)),
-            counters: plan.telemetry.then_some(self.st.counters),
+            counters: EngineCounters {
+                events_popped: self.st.events_processed,
+                firings_started: self.st.started.iter().sum(),
+                firings_finished: self.st.finished.iter().sum(),
+                // Every push, wheel or overflow, takes one `seq` number.
+                wheel_pushes: self.st.seq - self.st.counters.overflow_pushes,
+                ..self.st.counters
+            },
             occupancy,
-            spans: None,
+            spans: PhaseTimes::default(),
         }
     }
 }

@@ -19,8 +19,8 @@
 //!   rescale, flattened adjacency) run many times over a reusable
 //!   [`SimState`]; [`Simulator`] wraps the pair for one-shot runs.
 //!   Firing traces, deadline-miss and deadlock detection.  Every engine
-//!   has one constructor taking a [`SimConfig`]; its `faults` and
-//!   `telemetry` fields switch the two hook sets on.
+//!   has one constructor taking a [`SimConfig`]; its `faults` field
+//!   switches the fault hooks on.
 //! * [`validate`] — [`validate_capacities`], the executable oracle for the
 //!   paper's sufficiency theorem: replay arbitrary admissible quantum
 //!   scenarios against the capacities the analysis computed and confirm
@@ -38,12 +38,11 @@
 //!   (the one the scenario battery fans out on), with a deterministic
 //!   merge by index so results are bit-identical for any worker count.
 //! * [`telemetry`] — observability: engine counters, phase spans,
-//!   latency histograms, and the Chrome-trace/Perfetto exporter.
-//!   Compiled in but gated exactly like [`faults`], on
-//!   [`SimConfig::telemetry`]; a run with it off is bit-identical to the
-//!   hook-free [`ReferenceSimulator`] (pinned by tests).  The gating's
-//!   wall-clock cost has not been measured against a hook-free
-//!   revision.
+//!   latency histograms, and the Chrome-trace/Perfetto exporter.  Not an
+//!   engine mode: every run reports its counters and reset/run spans
+//!   ([`SimReport::counters`], [`SimReport::spans`]), derived from the
+//!   state it keeps anyway; [`ValidationOptions::telemetry`] only decides
+//!   whether a battery aggregates them.
 //!
 //! ## Quick start
 //!

@@ -14,16 +14,14 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use vrdf_core::{
-    BufferId, ConstrainedRelease, ConstraintLocation, CoreCounters, Rational, TaskGraph, TaskId,
-};
+use vrdf_core::{BufferId, ConstrainedRelease, ConstraintLocation, Rational, TaskGraph, TaskId};
 
 use crate::engine::{
     BlockReason, BufferStats, EndpointBehavior, EndpointStats, FiringRecord, SimConfig, SimOutcome,
     SimReport, TaskStats, TraceLevel, Violation,
 };
 use crate::policy::{QuantumPlan, Side};
-use crate::telemetry::EngineCounters;
+use crate::telemetry::{EngineCounters, PhaseTimes};
 use crate::SimError;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,20 +105,13 @@ pub struct ReferenceSimulator<'a> {
     last_start: Option<Rational>,
     max_drift: Option<Rational>,
     max_lateness: Option<Rational>,
-    /// Whether the run reports the coarse [`CoreCounters`] subset —
-    /// gated like the tick engine's telemetry, so the default stays
-    /// bit-identical to the pre-telemetry reference.
-    telemetry: bool,
-    /// Coarse activity counters; only touched when `telemetry` is on.
-    counters: CoreCounters,
+    /// Rounds of the enable scan that started a firing.
+    settling_passes: u64,
 }
 
 impl<'a> ReferenceSimulator<'a> {
     /// Builds a reference simulator; same contract as
-    /// [`Simulator::new`](crate::engine::Simulator::new).  With
-    /// [`SimConfig::telemetry`] on, the report carries the coarse counter
-    /// subset, for differential comparison against an instrumented
-    /// tick-engine run.
+    /// [`Simulator::new`](crate::engine::Simulator::new).
     ///
     /// # Errors
     ///
@@ -206,7 +197,6 @@ impl<'a> ReferenceSimulator<'a> {
         };
         let endpoint = task_pos[endpoint_task.index()];
         let period = config.constraint.period();
-        let telemetry = config.telemetry;
 
         let mut sim = ReferenceSimulator {
             tg,
@@ -228,8 +218,7 @@ impl<'a> ReferenceSimulator<'a> {
             last_start: None,
             max_drift: None,
             max_lateness: None,
-            telemetry,
-            counters: CoreCounters::default(),
+            settling_passes: 0,
         };
         if let EndpointBehavior::StrictlyPeriodic { offset } = sim.config.behavior {
             if sim.config.max_endpoint_firings > 0 {
@@ -349,9 +338,6 @@ impl<'a> ReferenceSimulator<'a> {
             task.started += 1;
             task.busy_time += rho;
         }
-        if self.telemetry {
-            self.counters.firings_started += 1;
-        }
         self.push(finish, EventKind::Finish { task: pos });
 
         if pos == self.endpoint {
@@ -410,9 +396,6 @@ impl<'a> ReferenceSimulator<'a> {
         let task = &mut self.tasks[pos];
         task.busy = false;
         task.finished += 1;
-        if self.telemetry {
-            self.counters.firings_finished += 1;
-        }
     }
 
     fn try_starts(&mut self) -> bool {
@@ -429,9 +412,7 @@ impl<'a> ReferenceSimulator<'a> {
             if !progressed {
                 return any;
             }
-            if self.telemetry {
-                self.counters.settling_passes += 1;
-            }
+            self.settling_passes += 1;
         }
     }
 
@@ -449,9 +430,6 @@ impl<'a> ReferenceSimulator<'a> {
             #[allow(clippy::expect_used)]
             let event = self.heap.pop().expect("peeked");
             self.events_processed += 1;
-            if self.telemetry {
-                self.counters.events_popped += 1;
-            }
             any = true;
             match event.kind {
                 EventKind::Finish { task } => self.apply_finish(task),
@@ -534,18 +512,17 @@ impl<'a> ReferenceSimulator<'a> {
             faults_injected: 0,
             first_fault_time: None,
             last_fault_time: None,
-            // Coarse counters only: the reference has no wheel, no dirty
-            // bitmap, and no compiled policies, so the engine-specific
-            // fields stay zero.
-            counters: self.telemetry.then(|| EngineCounters {
-                events_popped: self.counters.events_popped,
-                firings_started: self.counters.firings_started,
-                firings_finished: self.counters.firings_finished,
-                settling_passes: self.counters.settling_passes,
+            // Coarse counters only: the reference has no wheel and no
+            // compiled policies, so the engine-specific fields stay zero.
+            counters: EngineCounters {
+                events_popped: self.events_processed,
+                firings_started: self.tasks.iter().map(|t| t.started).sum(),
+                firings_finished: self.tasks.iter().map(|t| t.finished).sum(),
+                settling_passes: self.settling_passes,
                 ..EngineCounters::default()
-            }),
+            },
             occupancy: Vec::new(),
-            spans: None,
+            spans: PhaseTimes::default(),
         }
     }
 

@@ -1,33 +1,26 @@
 //! Telemetry: engine counters, phase spans, latency histograms, and the
 //! Chrome-trace/Perfetto exporter.
 //!
-//! Instrumentation follows the [`crate::faults`] gating discipline
-//! exactly: the hooks are **always compiled in** and gated on one
-//! boolean, [`crate::SimConfig::telemetry`] (off by default), that the
-//! `SimPlan` fixes at construction.  A disabled run executes not a
-//! single counter increment or clock read in the hot loop, and
-//! `tests/telemetry.rs` pins that it is bit-identical to the hook-free
-//! reference engine on the MP3 chain and the random chain/DAG/cyclic
-//! corpora.  The gating's wall-clock cost has not been measured against
-//! a revision without the hooks; perfbench's `trace.overhead_ratio`
-//! gives the cost of running with telemetry on.
+//! Telemetry is not an engine mode.  Every run reports its
+//! [`EngineCounters`] ([`crate::SimReport::counters`]), most of them
+//! derived from state the run keeps anyway, and every tick-engine run
+//! its reset/run [`PhaseTimes`] ([`crate::SimReport::spans`]).  The one
+//! switch, [`crate::ValidationOptions::telemetry`], decides whether a
+//! battery aggregates them into [`ValidationMetrics`] /
+//! [`SearchMetrics`].
 //!
 //! The layer has four pieces:
 //!
-//! * [`EngineCounters`] — cheap monotonic counters of the tick engine's
-//!   hot paths (events popped, firings, settling passes, dirty-bitmap
-//!   sweeps, timing-wheel vs overflow-heap routing, quantum-policy
-//!   dispatches).  Its first four fields carry the names of
-//!   [`vrdf_core::CoreCounters`], the coarse set the reference engine
-//!   and `vrdf-sdf`'s state-space executor count.  Counter sums commute,
-//!   so merged totals are deterministic at every thread count.
+//! * [`EngineCounters`] — monotonic counters of the tick engine's hot
+//!   paths (events popped, firings, settling passes, timing-wheel vs
+//!   overflow-heap routing, quantum-policy dispatches).
 //! * [`PhaseTimes`] — span-style wall-clock timing of the coarse phases
 //!   (plan build, reset, run, merge).
 //! * [`Histogram`] — a power-of-two-bucketed latency histogram for
 //!   per-probe and per-job latencies.
-//! * [`perfetto_trace`] — renders an instrumented run's firing timeline
-//!   (one track per task, one counter track per buffer's occupancy
-//!   samples) as Chrome-trace JSON loadable at <https://ui.perfetto.dev>.
+//! * [`perfetto_trace`] — renders a run's firing timeline (one track per
+//!   task, one counter track per buffer's occupancy samples) as
+//!   Chrome-trace JSON loadable at <https://ui.perfetto.dev>.
 //!
 //! Human-readable output goes through [`MetricsSnapshot`], the table
 //! `vrdf minimize` and `vrdf faults` print to stderr under `--metrics`.
@@ -41,10 +34,8 @@ use crate::engine::SimReport;
 
 /// Monotonic activity counters of the tick engine's hot paths.
 ///
-/// The first four fields are the engine-agnostic coarse set
-/// ([`vrdf_core::CoreCounters`] vocabulary); the rest are tick-engine
-/// specific.  All are plain `u64` counts whose sums commute — merged
-/// totals are identical for every worker count.
+/// The reference engine fills the first four, the coarse set.  Sums
+/// commute, so merged totals are identical for every worker count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Events popped off the event queue.
@@ -56,17 +47,13 @@ pub struct EngineCounters {
     /// Settling passes: outer rounds of the dirty-bitmap scan that
     /// found at least one dirty word.
     pub settling_passes: u64,
-    /// Non-zero dirty-bitmap words processed across all settling passes.
-    pub dirty_sweeps: u64,
     /// Events routed onto the timing wheel.
     pub wheel_pushes: u64,
     /// Events that missed the wheel window and fell back to the
     /// overflow heap (rare by construction; a high ratio here means the
     /// wheel is mis-sized for the workload).
     pub overflow_pushes: u64,
-    /// Quantum-policy dispatches: enable-check draws that went through a
-    /// compiled non-`Fixed` policy (the all-constant fast path never
-    /// dispatches).
+    /// Quantum-policy dispatches: the enable check's per-edge draws.
     pub policy_dispatches: u64,
 }
 
@@ -78,7 +65,6 @@ impl EngineCounters {
         self.firings_started = self.firings_started.saturating_add(other.firings_started);
         self.firings_finished = self.firings_finished.saturating_add(other.firings_finished);
         self.settling_passes = self.settling_passes.saturating_add(other.settling_passes);
-        self.dirty_sweeps = self.dirty_sweeps.saturating_add(other.dirty_sweeps);
         self.wheel_pushes = self.wheel_pushes.saturating_add(other.wheel_pushes);
         self.overflow_pushes = self.overflow_pushes.saturating_add(other.overflow_pushes);
         self.policy_dispatches = self
@@ -87,13 +73,12 @@ impl EngineCounters {
     }
 }
 
-/// One buffer-occupancy sample from an instrumented, fully traced run:
-/// the occupancy (full + claimed containers, i.e. `capacity − space`)
-/// immediately after it changed.
+/// One buffer-occupancy sample from a fully traced run: the occupancy
+/// (full + claimed containers, i.e. `capacity − space`) immediately
+/// after it changed.
 ///
-/// Samples are recorded only when the plan is telemetry-enabled *and*
-/// the run traces at `TraceLevel::All` — occupancy history is a
-/// trace-grade artifact, not a counter.
+/// Samples are recorded only when the run traces at `TraceLevel::All` —
+/// occupancy history is a trace-grade artifact, not a counter.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OccupancySample {
     /// The buffer sampled.
@@ -107,8 +92,7 @@ pub struct OccupancySample {
 /// Wall-clock spans of the coarse engine phases.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// `SimPlan` construction (rescaling, arena layout, fault/telemetry
-    /// compilation).
+    /// `SimPlan` construction (rescaling, arena layout, fault compilation).
     pub plan_build: Duration,
     /// `SimState` reset-in-place before a run.
     pub reset: Duration,
@@ -330,7 +314,6 @@ impl MetricsSnapshot {
         self.push("firings started", c.firings_started);
         self.push("firings finished", c.firings_finished);
         self.push("settling passes", c.settling_passes);
-        self.push("dirty sweeps", c.dirty_sweeps);
         self.push("wheel pushes", c.wheel_pushes);
         self.push("overflow pushes", c.overflow_pushes);
         self.push("policy dispatches", c.policy_dispatches);
@@ -386,9 +369,8 @@ fn format_duration(d: Duration) -> String {
     format!("{:.3} ms", d.as_secs_f64() * 1e3)
 }
 
-/// Renders an instrumented run as Chrome-trace JSON (the "JSON Array
-/// Format" both `chrome://tracing` and <https://ui.perfetto.dev>
-/// load).
+/// Renders a run as Chrome-trace JSON (the "JSON Array Format" both
+/// `chrome://tracing` and <https://ui.perfetto.dev> load).
 ///
 /// The timeline carries:
 ///
@@ -412,8 +394,8 @@ fn format_duration(d: Duration) -> String {
 /// `tests/telemetry.rs` pins a golden MP3 trace.
 ///
 /// The run must have been traced at `TraceLevel::All` for the timeline
-/// to be complete; without telemetry the occupancy tracks are simply
-/// empty.
+/// to be complete; a run traced at a lower level has no occupancy
+/// tracks.
 pub fn perfetto_trace(report: &SimReport) -> String {
     let mut out = String::with_capacity(4096 + report.trace.len() * 128);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
@@ -531,9 +513,6 @@ mod tests {
 
     #[test]
     fn gate_defaults_to_disabled() {
-        let constraint = vrdf_core::ThroughputConstraint::on_sink(Rational::ONE).unwrap();
-        assert!(!crate::SimConfig::self_timed(constraint).telemetry);
-        assert!(!crate::SimConfig::periodic(constraint, Rational::ZERO).telemetry);
         assert!(!crate::ValidationOptions::default().telemetry);
     }
 
@@ -544,14 +523,13 @@ mod tests {
             firings_started: 2,
             firings_finished: 3,
             settling_passes: 4,
-            dirty_sweeps: 5,
-            wheel_pushes: 6,
-            overflow_pushes: 7,
-            policy_dispatches: 8,
+            wheel_pushes: 5,
+            overflow_pushes: 6,
+            policy_dispatches: 7,
         };
         a.merge(&a.clone());
         assert_eq!(a.events_popped, 2);
-        assert_eq!(a.policy_dispatches, 16);
+        assert_eq!(a.policy_dispatches, 14);
         assert_eq!(a.settling_passes, 8);
     }
 

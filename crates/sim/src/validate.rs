@@ -103,10 +103,11 @@ pub struct ValidationOptions {
     /// the named scenario, exercising the battery's panic isolation.
     /// `None` (the default) injects nothing.
     pub chaos_panic_scenario: Option<String>,
-    /// Collect engine counters, phase spans, and per-scenario wall times
-    /// into [`ValidationReport::metrics`]: every scenario runs with
-    /// [`SimConfig::telemetry`] on.  Telemetry is passive — the verdict
-    /// is the same either way.  `false` by default.
+    /// Aggregate every scenario's engine counters and phase spans
+    /// ([`crate::SimReport::counters`], [`crate::SimReport::spans`]) and
+    /// the per-scenario wall times into [`ValidationReport::metrics`].
+    /// The runs are the same either way; only the aggregation is
+    /// switched.  `false` by default.
     pub telemetry: bool,
 }
 
@@ -597,7 +598,6 @@ impl<'a> ScenarioRunner<'a> {
         config.stop_on_violation = faults.is_none();
         config.trace = TraceLevel::None;
         config.faults = faults.unwrap_or_default();
-        config.telemetry = opts.telemetry;
         let scenarios = scenario_plans(tg, opts);
         let threads = effective_threads(opts.threads, scenarios.len());
         let build_begin = opts.telemetry.then(Instant::now);
@@ -750,12 +750,8 @@ impl<'a> ScenarioRunner<'a> {
             match slot.outcome {
                 Outcome::Done(Ok(r)) => {
                     if let Some(m) = &mut metrics {
-                        if let Some(counters) = &r.report.counters {
-                            m.counters.merge(counters);
-                        }
-                        if let Some(spans) = &r.report.spans {
-                            m.phases.merge_from(spans);
-                        }
+                        m.counters.merge(&r.report.counters);
+                        m.phases.merge_from(&r.report.spans);
                         m.scenario_wall.push((r.name.clone(), slot.wall));
                     }
                     results.push(r);

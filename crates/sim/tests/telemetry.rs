@@ -1,19 +1,16 @@
 //! Acceptance tests for the telemetry layer:
 //!
-//! 1. **Disabled bit-identity** — a tick-engine run with
-//!    [`SimConfig::telemetry`] off must be observably identical to the
-//!    hook-free reference engine (traces, violations, outcomes,
-//!    statistics, event counts) on the MP3 chain and seeded random
-//!    chain/DAG/cyclic corpora, mirroring the fault layer's zero-fault
-//!    differential in `tests/faults.rs`.
-//! 2. **Enabled passivity** — an instrumented run may add counters,
-//!    spans, and occupancy samples, but never changes the simulation
-//!    itself: every compared field equals the reference run, and the
-//!    counters tie out against the report exactly.
-//! 3. **Battery passivity** — [`validate_capacities`] with telemetry on
+//! 1. **Counting is passive** — a tick-engine run, which always counts,
+//!    times its phases and (at [`TraceLevel::All`]) samples occupancy,
+//!    is observably identical to the reference engine (traces,
+//!    violations, outcomes, statistics, event counts) through both entry
+//!    points, a reused [`SimPlan`] state and the one-shot [`Simulator`],
+//!    on the MP3 chain and seeded random chain/DAG/cyclic corpora; its
+//!    counters tie out against the report.
+//! 2. **Battery passivity** — [`validate_capacities`] with telemetry on
 //!    reaches the same verdict, violations, and event counts as with it
 //!    off.
-//! 4. **Golden trace** — the Perfetto exporter's byte-exact output for a
+//! 3. **Golden trace** — the Perfetto exporter's byte-exact output for a
 //!    small fixed MP3 run is pinned by a committed golden file
 //!    (regenerate with `UPDATE_GOLDEN=1`).
 
@@ -26,35 +23,35 @@ use vrdf_sim::{
 };
 
 /// Asserts two reports are bit-identical in every observable field.
-fn assert_identical(gated: &SimReport, plain: &SimReport, context: &str) {
-    assert_eq!(gated.outcome, plain.outcome, "{context}: outcome");
-    assert_eq!(gated.violations, plain.violations, "{context}: violations");
-    assert_eq!(gated.trace, plain.trace, "{context}: firing trace");
+fn assert_identical(tick: &SimReport, plain: &SimReport, context: &str) {
+    assert_eq!(tick.outcome, plain.outcome, "{context}: outcome");
+    assert_eq!(tick.violations, plain.violations, "{context}: violations");
+    assert_eq!(tick.trace, plain.trace, "{context}: firing trace");
     assert_eq!(
-        gated.events_processed, plain.events_processed,
+        tick.events_processed, plain.events_processed,
         "{context}: event count"
     );
-    assert_eq!(gated.end_time, plain.end_time, "{context}: end time");
-    assert_eq!(gated.endpoint.firings, plain.endpoint.firings);
-    assert_eq!(gated.endpoint.first_start, plain.endpoint.first_start);
-    assert_eq!(gated.endpoint.last_start, plain.endpoint.last_start);
-    assert_eq!(gated.endpoint.max_drift, plain.endpoint.max_drift);
-    assert_eq!(gated.endpoint.max_lateness, plain.endpoint.max_lateness);
-    for (g, p) in gated.buffers.iter().zip(&plain.buffers) {
+    assert_eq!(tick.end_time, plain.end_time, "{context}: end time");
+    assert_eq!(tick.endpoint.firings, plain.endpoint.firings);
+    assert_eq!(tick.endpoint.first_start, plain.endpoint.first_start);
+    assert_eq!(tick.endpoint.last_start, plain.endpoint.last_start);
+    assert_eq!(tick.endpoint.max_drift, plain.endpoint.max_drift);
+    assert_eq!(tick.endpoint.max_lateness, plain.endpoint.max_lateness);
+    for (g, p) in tick.buffers.iter().zip(&plain.buffers) {
         assert_eq!(g.capacity, p.capacity);
         assert_eq!(g.max_occupancy, p.max_occupancy, "{context}: {}", g.name);
         assert_eq!(g.produced, p.produced);
         assert_eq!(g.consumed, p.consumed);
     }
-    for (g, p) in gated.tasks.iter().zip(&plain.tasks) {
+    for (g, p) in tick.tasks.iter().zip(&plain.tasks) {
         assert_eq!(g.firings, p.firings);
         assert_eq!(g.busy_time, p.busy_time, "{context}: {}", g.name);
     }
 }
 
-/// Runs one scenario three ways — the hook-free reference engine, the
-/// tick engine with telemetry off, and with it on — and cross-checks
-/// them.
+/// Runs one scenario three ways — the reference engine, the tick engine
+/// on a reusable plan state, and the one-shot tick simulator — and
+/// cross-checks them.
 fn run_three_ways(tg: &TaskGraph, constraint: ThroughputConstraint, context: &str) {
     let analysis = compute_buffer_capacities(tg, constraint).expect("analysable graph");
     let mut sized = tg.clone();
@@ -78,36 +75,26 @@ fn run_three_ways(tg: &TaskGraph, constraint: ThroughputConstraint, context: &st
             let plain = ReferenceSimulator::new(&sized, quanta.clone(), config.clone())
                 .expect("reference construction")
                 .run();
-            // Telemetry off (the default) — the code path every
-            // uninstrumented run takes.
-            let gated_plan = SimPlan::new(&sized, config.clone()).expect("gated construction");
-            let mut state = gated_plan.state();
-            let gated = gated_plan
-                .run(&mut state, &quanta)
-                .expect("gated run executes");
-            assert_identical(&gated, &plain, &context);
-            assert!(gated.counters.is_none(), "{context}: counters stay off");
-            assert!(gated.spans.is_none(), "{context}: spans stay off");
-            assert!(
-                gated.occupancy.is_empty(),
-                "{context}: no occupancy samples"
-            );
+            // The battery's path: a plan run on a reusable state.
+            let plan = SimPlan::new(&sized, config.clone()).expect("plan construction");
+            let mut state = plan.state();
+            let planned = plan.run(&mut state, &quanta).expect("plan run executes");
+            assert_identical(&planned, &plain, &context);
 
-            // Enabled telemetry is passive: same simulation, plus data.
-            config.telemetry = true;
-            let instrumented = Simulator::new(&sized, quanta.clone(), config)
-                .expect("instrumented construction")
+            // Counting is passive: same simulation, plus data.
+            let one_shot = Simulator::new(&sized, quanta.clone(), config)
+                .expect("one-shot construction")
                 .run();
-            assert_identical(&instrumented, &plain, &context);
-            let counters = instrumented.counters.expect("counters collected");
+            assert_identical(&one_shot, &plain, &context);
+            let counters = one_shot.counters;
             assert_eq!(
-                counters.events_popped, instrumented.events_processed,
+                counters.events_popped, one_shot.events_processed,
                 "{context}: every popped event is a processed event"
             );
             assert!(counters.firings_started >= counters.firings_finished);
-            assert!(instrumented.spans.is_some(), "{context}: spans collected");
+            assert!(!one_shot.spans.run.is_zero(), "{context}: spans collected");
             assert!(
-                !instrumented.occupancy.is_empty(),
+                !one_shot.occupancy.is_empty(),
                 "{context}: TraceLevel::All collects occupancy samples"
             );
         }
@@ -208,8 +195,7 @@ fn battery_telemetry_is_passive_on_the_corpora() {
 }
 
 /// The small fixed MP3 run the golden trace pins: 25 strictly periodic
-/// DAC firings at the conservative offset, all-max quanta, telemetry on,
-/// full tracing.
+/// DAC firings at the conservative offset, all-max quanta, full tracing.
 fn golden_run() -> SimReport {
     let tg = mp3_chain();
     let constraint = mp3_constraint();
@@ -220,7 +206,6 @@ fn golden_run() -> SimReport {
     let mut config = SimConfig::periodic(constraint, offset);
     config.max_endpoint_firings = 25;
     config.trace = TraceLevel::All;
-    config.telemetry = true;
     Simulator::new(&sized, QuantumPlan::uniform(QuantumPolicy::Max), config)
         .expect("instrumented construction")
         .run()

@@ -290,6 +290,15 @@ fn overflowing() -> Vec<Pathology> {
         )],
     )
     .expect("valid chain");
+    // Two buffers of 2^64 − 3 containers each: every capacity fits u64,
+    // their total does not.
+    let q = QuantumSet::constant(huge_quantum);
+    let zero = Rational::ZERO;
+    let total = TaskGraph::linear_chain(
+        [("a", zero), ("b", zero), ("c", zero)],
+        [("ab", q.clone(), q.clone()), ("bc", q.clone(), q)],
+    )
+    .expect("valid chain");
     vec![
         Pathology {
             name: "capacity-past-u64",
@@ -301,6 +310,12 @@ fn overflowing() -> Vec<Pathology> {
             name: "gaps-past-i128",
             tg: fine,
             constraint: ThroughputConstraint::on_sink(Rational::new(1, h - 4)).expect("positive"),
+            analysable: false,
+        },
+        Pathology {
+            name: "total-past-u64",
+            tg: total,
+            constraint: ThroughputConstraint::on_sink(rat(1, 1)).expect("positive"),
             analysable: false,
         },
     ]
