@@ -257,8 +257,8 @@ fn minimize(args: &Args) {
         .unwrap_or_else(|e| fail("the capacity search failed", e));
     print!("{report}");
     println!(
-        "battery health: {} occupancy breaches, {} scenarios skipped (wall clock)",
-        report.occupancy_breaches, report.scenarios_skipped
+        "battery health: {} occupancy breaches",
+        report.occupancy_breaches
     );
     println!(
         "fail-fast probes: {} scenarios cancelled after an earlier scenario failed",
@@ -449,7 +449,6 @@ fn fleet(args: &Args) {
             ..args.battery(2_000, 2)
         },
         wall_clock: args.get("--wall-clock-ms").map(Duration::from_millis),
-        ..defaults
     };
     let batch = args.get("--batch").unwrap_or(64);
     let seed = args.get("--seed").unwrap_or(1);

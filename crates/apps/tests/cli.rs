@@ -5,7 +5,7 @@
 //! missing or unknown subcommand exits 2 with every usage line.  A flag
 //! value the run cannot use is an `error:` line too, never a panic.
 //! `--metrics` adds a counter table on stderr that no thread count
-//! changes.
+//! changes, and `vrdf minimize`'s stdout is pinned line for line.
 
 use std::process::Command;
 
@@ -173,5 +173,20 @@ fn metrics_counters_are_identical_at_every_thread_count() {
         });
         (stdout, rows)
     };
-    assert_eq!(metrics("1"), metrics("2"), "stdout or counters differ");
+    let sequential = metrics("1");
+    assert_eq!(sequential.0, MINIMIZE_2000_STDOUT);
+    assert_eq!(metrics("2"), sequential, "stdout or counters differ");
 }
+
+/// The stdout of `vrdf minimize --firings 2000`: the MP3 minima, probe
+/// counts and battery health at a 2,000-firing horizon.
+const MINIMIZE_2000_STDOUT: &str = "\
+MP3 playback chain: Eq. (4) vs operational minima (2000 endpoint firings per scenario)
+capacity minimization at offset 11416591/35280000: total 10160 -> 5554 (gap 4606, 27 probes)
+  buffer          eq4    minimal    gap   floor  probes
+  d1             6015       2176   3839    2048      13
+  d2             3263       2496    767    1152      12
+  d3              882        882      0     441       1
+battery health: 0 occupancy breaches
+fail-fast probes: 54 scenarios cancelled after an earlier scenario failed
+";

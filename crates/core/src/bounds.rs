@@ -60,13 +60,12 @@ impl PairGaps {
     ///
     /// # Errors
     ///
-    /// [`AnalysisError::ArithmeticOverflow`] naming the first equation
-    /// whose value does not fit `i128` rationals (or, for Eq. 4, `u64`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token_period` is not strictly positive or a maximum
-    /// quantum is zero.
+    /// * [`AnalysisError::NonPositivePeriod`] when `token_period` is not
+    ///   strictly positive;
+    /// * [`AnalysisError::ZeroOnlyQuantumSet`] when a maximum quantum is
+    ///   zero;
+    /// * [`AnalysisError::ArithmeticOverflow`] naming the first equation
+    ///   whose value does not fit `i128` rationals (or, for Eq. 4, `u64`).
     pub fn new(
         token_period: Rational,
         producer_response: Rational,
@@ -74,14 +73,12 @@ impl PairGaps {
         producer_max_quantum: u64,
         consumer_max_quantum: u64,
     ) -> Result<PairGaps, AnalysisError> {
-        assert!(
-            token_period.is_positive(),
-            "token period must be strictly positive"
-        );
-        assert!(
-            producer_max_quantum >= 1 && consumer_max_quantum >= 1,
-            "maximum quanta must be at least 1"
-        );
+        if !token_period.is_positive() {
+            return Err(AnalysisError::NonPositivePeriod(token_period));
+        }
+        if producer_max_quantum == 0 || consumer_max_quantum == 0 {
+            return Err(AnalysisError::ZeroOnlyQuantumSet);
+        }
         let overflow = |context| AnalysisError::ArithmeticOverflow { context };
         let gap = |response: Rational, max_quantum: u64| {
             token_period

@@ -289,8 +289,6 @@ pub struct FaultValidationReport {
     /// Scenarios whose probe worker panicked (degradation ladder — the
     /// battery completed without them).
     pub panics: Vec<WorkerPanic>,
-    /// Scenarios skipped by the wall-clock watchdog.
-    pub skipped: Vec<String>,
     /// Which engine executed the battery.
     pub engine: EngineKind,
 }
@@ -299,9 +297,7 @@ impl FaultValidationReport {
     /// `true` when every scenario ran and recovered (or was never
     /// affected).
     pub fn all_recovered(&self) -> bool {
-        self.panics.is_empty()
-            && self.skipped.is_empty()
-            && self.scenarios.iter().all(|s| s.verdict.is_recovered())
+        self.panics.is_empty() && self.scenarios.iter().all(|s| s.verdict.is_recovered())
     }
 
     /// The scenarios that did not recover.
@@ -344,9 +340,6 @@ impl fmt::Display for FaultValidationReport {
         }
         for p in &self.panics {
             writeln!(f, "  {:<12} PANICKED: {}", p.scenario, p.message)?;
-        }
-        for name in &self.skipped {
-            writeln!(f, "  {:<12} skipped (wall-clock budget)", name)?;
         }
         Ok(())
     }
@@ -402,7 +395,6 @@ pub fn validate_capacities_under_faults(
             .map(|s| grade_scenario(s, period, opts.recovery_firings))
             .collect(),
         panics: report.panics,
-        skipped: report.skipped,
         engine: report.engine,
     })
 }

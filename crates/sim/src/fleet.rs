@@ -32,6 +32,8 @@
 //!   `catch_unwind` into [`JobOutcome::Panicked`], and graphs not yet
 //!   started when [`FleetOptions::wall_clock`] expires are
 //!   [`JobOutcome::Skipped`].  The rest of the corpus always completes.
+//!   That wall clock only decides whether a graph runs: a skipped graph
+//!   is "not run", never "failed", and no job's verdict reads a clock.
 //!
 //! Arena reuse follows PR 6's construct/execute split at the job level:
 //! each job owns one [`crate::ScenarioRunner`] whose `SimPlan`/`SimState`
@@ -48,7 +50,7 @@ use std::time::{Duration, Instant};
 use vrdf_core::{compute_buffer_capacities, TaskGraph, ThroughputConstraint};
 
 use crate::pool::{self, Outcome};
-use crate::search::{minimize_capacities, EdgeMinimum, SearchBudget, SearchOptions};
+use crate::search::{minimize_capacities, EdgeMinimum, SearchOptions};
 use crate::validate::{effective_threads, validate_capacities, EngineKind, ValidationOptions};
 
 /// One graph of a fleet corpus: the application, its constraint, and a
@@ -117,10 +119,6 @@ pub struct FleetOptions {
     /// batteries always run single-threaded because the pool owns the
     /// cores (see [`FleetOptions::battery_options`]).
     pub validation: ValidationOptions,
-    /// Per-graph search budget for `Minimize` jobs; a tripped budget
-    /// yields an honest partial report for that graph, not a fleet
-    /// abort.
-    pub budget: SearchBudget,
     /// Fleet-level wall-clock budget.  Graphs not yet started when it
     /// expires are recorded as [`JobOutcome::Skipped`]; an in-flight
     /// job is never interrupted.  `None` (the default) runs unbounded.
@@ -133,7 +131,6 @@ impl Default for FleetOptions {
             job: FleetJob::Validate,
             workers: 0,
             validation: ValidationOptions::default(),
-            budget: SearchBudget::default(),
             wall_clock: None,
         }
     }
@@ -169,8 +166,7 @@ pub enum JobOutcome {
         scenarios: usize,
         /// Names of the scenarios that failed, in battery order.
         failed: Vec<String>,
-        /// `true` when nothing panicked and nothing was skipped by the
-        /// per-battery watchdog.
+        /// `true` when no scenario panicked.
         complete: bool,
         /// Total simulated events across the battery.
         events: u64,
@@ -186,12 +182,8 @@ pub enum JobOutcome {
         edges: Vec<EdgeMinimum>,
         /// Probe simulations spent, baseline included.
         probes: u32,
-        /// Coordinate-descent passes run.
-        passes: u32,
         /// Total simulated events across every probe.
         events: u64,
-        /// `false` when the per-graph search budget expired first.
-        complete: bool,
     },
     /// The VRDF-vs-SDF table was computed.
     Baselined {
@@ -222,8 +214,8 @@ pub enum JobOutcome {
 
 impl JobOutcome {
     /// `true` when the job ran and its verdict is clean: an all-clear
-    /// validation, a complete minimization over a clear baseline, or a
-    /// computed baseline table.
+    /// validation, a minimization over a clear baseline, or a computed
+    /// baseline table.
     pub fn ok(&self) -> bool {
         match self {
             JobOutcome::Validated {
@@ -231,11 +223,7 @@ impl JobOutcome {
                 complete,
                 ..
             } => *all_clear && *complete,
-            JobOutcome::Minimized {
-                baseline_clear,
-                complete,
-                ..
-            } => *baseline_clear && *complete,
+            JobOutcome::Minimized { baseline_clear, .. } => *baseline_clear,
             JobOutcome::Baselined { .. } => true,
             JobOutcome::Failed { .. } | JobOutcome::Panicked { .. } | JobOutcome::Skipped => false,
         }
@@ -283,7 +271,6 @@ impl fmt::Display for JobOutcome {
                 baseline_clear,
                 edges,
                 probes,
-                complete,
                 ..
             } => {
                 if !*baseline_clear {
@@ -293,9 +280,8 @@ impl fmt::Display for JobOutcome {
                 let minimal: u64 = edges.iter().map(|e| e.minimal).sum();
                 write!(
                     f,
-                    "minimized {assigned} -> {minimal} (gap {}, {probes} probes{})",
+                    "minimized {assigned} -> {minimal} (gap {}, {probes} probes)",
                     assigned - minimal,
-                    if *complete { "" } else { ", incomplete" }
                 )
             }
             JobOutcome::Baselined {
@@ -512,16 +498,13 @@ fn execute_job(item: &FleetItem, opts: &FleetOptions, battery: &ValidationOption
         FleetJob::Minimize => {
             let search = SearchOptions {
                 validation: battery.clone(),
-                budget: opts.budget,
                 ..SearchOptions::default()
             };
             match minimize_capacities(&item.graph, &analysis, &search) {
                 Ok(report) => JobOutcome::Minimized {
                     baseline_clear: report.baseline_clear,
                     probes: report.probes,
-                    passes: report.passes,
                     events: report.events,
-                    complete: report.complete,
                     edges: report.edges,
                 },
                 Err(e) => JobOutcome::Failed {

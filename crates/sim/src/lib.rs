@@ -25,9 +25,9 @@
 //!   paper's sufficiency theorem: replay arbitrary admissible quantum
 //!   scenarios against the capacities the analysis computed and confirm
 //!   strict periodicity is never violated.
-//! * [`search`] — [`minimize_capacities`], a minimal-capacity search
-//!   driver on top of the oracle: per-edge binary search plus coordinate
-//!   descent measuring how far Eq. (4) sits above the operational minima.
+//! * [`search`] — [`minimize_capacities`], a minimal-capacity search on
+//!   top of the oracle: one sweep of per-edge binary searches measuring
+//!   how far Eq. (4) sits above the operational minima.
 //! * [`faults`] — bounded fault injection (transient task stalls) and
 //!   [`validate_capacities_under_faults`], which replays the scenario
 //!   battery under a [`FaultPlan`] and grades whether strict periodicity
@@ -95,9 +95,7 @@ pub use fleet::{
 };
 pub use policy::{splitmix64, CompiledQuantum, QuantumPlan, QuantumPolicy, Side};
 pub use reference::ReferenceSimulator;
-pub use search::{
-    minimize_capacities, EdgeMinimum, MinimizationReport, SearchBudget, SearchOptions,
-};
+pub use search::{minimize_capacities, EdgeMinimum, MinimizationReport, SearchOptions};
 pub use telemetry::{
     perfetto_trace, EngineCounters, Histogram, MetricsSnapshot, OccupancySample, PhaseTimes,
     SearchMetrics, ValidationMetrics,

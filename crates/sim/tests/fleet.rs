@@ -162,15 +162,11 @@ fn fleet_minimize_matches_the_direct_search() {
                 baseline_clear,
                 edges,
                 probes,
-                passes,
-                complete,
                 ..
             } => {
                 assert_eq!(*baseline_clear, direct.baseline_clear, "{}", item.name);
                 assert_eq!(edges, &direct.edges, "{}", item.name);
                 assert_eq!(*probes, direct.probes, "{}", item.name);
-                assert_eq!(*passes, direct.passes, "{}", item.name);
-                assert_eq!(*complete, direct.complete, "{}", item.name);
             }
             other => panic!("{}: expected a Minimized outcome, got {other}", item.name),
         }

@@ -85,10 +85,6 @@ fn minimization_converges_on_the_fork_join_dag() {
     let report = minimize_capacities(&tg, &analysis, &opts).unwrap();
     assert!(report.baseline_clear, "{report}");
     assert_eq!(report.edges.len(), 6);
-    assert!(
-        report.passes < SearchOptions::default().max_passes,
-        "coordinate descent must reach its fixed point, not the pass cap\n{report}"
-    );
     for edge in &report.edges {
         assert!(edge.minimal <= edge.assigned, "{report}");
         assert!(edge.minimal >= edge.floor, "{report}");

@@ -1,10 +1,7 @@
 //! The fail-fast probe ([`ScenarioRunner::probe`]) against the full
 //! battery ([`ScenarioRunner::validate`]): the same verdict and the same
-//! first failure, never more simulated events, one report at every
-//! thread count, and cancellations kept apart from panics and watchdog
-//! skips.
-
-use std::time::Duration;
+//! first failure, never more simulated events, and one report at every
+//! thread count.
 
 use vrdf_apps::{case_study, fleet_corpus, CASE_STUDY_NAMES};
 use vrdf_core::{
@@ -70,13 +67,13 @@ fn first_failure(report: &ValidationReport) -> Option<(&str, String)> {
 }
 
 /// Everything a probe report carries that must not depend on the thread
-/// count: per-scenario results, cancellations, panics, skips, the event
-/// total and (with telemetry) the engine counters.
+/// count: per-scenario results, cancellations, panics, the event total
+/// and (with telemetry) the engine counters.
 fn fingerprint(report: &Result<ValidationReport, SimError>) -> String {
     match report {
         Err(e) => format!("error {e:?}"),
         Ok(r) => format!(
-            "{:?} cancelled {:?} panics {:?} skipped {:?} events {} counters {:?}",
+            "{:?} cancelled {:?} panics {:?} events {} counters {:?}",
             r.scenarios
                 .iter()
                 .map(|s| (
@@ -89,7 +86,6 @@ fn fingerprint(report: &Result<ValidationReport, SimError>) -> String {
                 .collect::<Vec<_>>(),
             r.cancelled,
             r.panics,
-            r.skipped,
             r.events(),
             r.metrics.as_ref().map(|m| &m.counters),
         ),
@@ -229,93 +225,4 @@ fn probe_report_is_identical_at_every_thread_count() {
         }
     }
     assert!(stopped_above_zero, "some probe must stop above scenario 0");
-}
-
-#[test]
-fn chaos_above_the_first_failure_never_fires() {
-    let study = case_study("mp3").expect("bundled");
-    let analysis = compute_buffer_capacities(&study.graph, study.constraint).expect("analyses");
-    let d3 = study.graph.buffer_by_name("d3").expect("MP3 has d3");
-    let starved = [(d3, 441)];
-    let sized = analysis.with_capacities(&study.graph, &[]);
-    let full = runner(&sized, &study.graph, &analysis, &battery(1))
-        .validate(&starved)
-        .expect("battery runs");
-    let first = full.failures().next().expect("d3 = 441 fails").name.clone();
-    let last = full.scenarios.last().expect("non-empty").name.clone();
-    assert_ne!(first, last, "the chaos scenario sits above the failure");
-
-    for threads in [1, 2, 3, 8] {
-        let opts = ValidationOptions {
-            chaos_panic_scenario: Some(last.clone()),
-            ..battery(threads)
-        };
-        let probe = runner(&sized, &study.graph, &analysis, &opts)
-            .probe(&starved)
-            .expect("probe runs");
-        assert!(probe.panics.is_empty(), "threads = {threads}: {probe}");
-        assert!(probe.cancelled.contains(&last), "threads = {threads}");
-        assert_eq!(probe.failures().next().map(|s| &s.name), Some(&first));
-    }
-}
-
-#[test]
-fn chaos_on_a_passing_assignment_fails_the_probe() {
-    let study = case_study("mp3").expect("bundled");
-    let analysis = compute_buffer_capacities(&study.graph, study.constraint).expect("analyses");
-    let sized = analysis.with_capacities(&study.graph, &[]);
-    for threads in [1, 2, 8] {
-        let opts = ValidationOptions {
-            chaos_panic_scenario: Some("cycle-minmax".to_owned()),
-            ..battery(threads)
-        };
-        let probe = runner(&sized, &study.graph, &analysis, &opts)
-            .probe(&[])
-            .expect("probe runs");
-        let ran: Vec<_> = probe.scenarios.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(ran, ["const-max", "const-min"], "threads = {threads}");
-        assert!(probe.scenarios.iter().all(ScenarioResult::passed));
-        assert_eq!(probe.panics.len(), 1);
-        assert_eq!(probe.panics[0].scenario, "cycle-minmax");
-        assert_eq!(probe.cancelled, ["random-0", "random-1"]);
-        assert!(!probe.all_clear());
-        assert!(!probe.complete());
-        assert!(probe.to_string().contains("cancelled"));
-    }
-}
-
-#[test]
-fn a_watchdog_skip_is_skipped_not_cancelled() {
-    let study = case_study("mp3").expect("bundled");
-    let analysis = compute_buffer_capacities(&study.graph, study.constraint).expect("analyses");
-    let sized = analysis.with_capacities(&study.graph, &[]);
-    for threads in [1, 2] {
-        let opts = ValidationOptions {
-            wall_clock: Some(Duration::ZERO),
-            ..battery(threads)
-        };
-        let probe = runner(&sized, &study.graph, &analysis, &opts)
-            .probe(&[])
-            .expect("probe runs");
-        assert!(probe.scenarios.is_empty());
-        assert_eq!(probe.skipped, ["const-max"], "threads = {threads}");
-        assert_eq!(
-            probe.cancelled,
-            ["const-min", "cycle-minmax", "random-0", "random-1"]
-        );
-        assert!(!probe.all_clear());
-    }
-
-    // The search counts the skip as a skip and the rest as cancelled.
-    let search = SearchOptions {
-        validation: ValidationOptions {
-            wall_clock: Some(Duration::ZERO),
-            ..battery(1)
-        },
-        ..SearchOptions::default()
-    };
-    let report = minimize_capacities(&study.graph, &analysis, &search).expect("search runs");
-    assert!(!report.baseline_clear);
-    assert_eq!(report.scenarios_skipped, 1);
-    assert_eq!(report.scenarios_cancelled, 4);
 }

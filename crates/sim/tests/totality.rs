@@ -11,7 +11,7 @@
 //! unwinding.
 
 use vrdf_core::{
-    compute_buffer_capacities, rat, AnalysisError, QuantumSet, Rational, TaskGraph,
+    compute_buffer_capacities, rat, AnalysisError, PairGaps, QuantumSet, Rational, TaskGraph,
     ThroughputConstraint,
 };
 use vrdf_sdf::{analyze, baseline_capacities, CsdfGraph, SdfError};
@@ -550,4 +550,15 @@ fn constructor_level_defects_are_typed_errors() {
     // Non-positive constraint periods.
     assert!(ThroughputConstraint::on_sink(Rational::ZERO).is_err());
     assert!(ThroughputConstraint::on_sink(rat(-3, 1)).is_err());
+    // Eqs. (1)-(4) of one pair: a non-positive token period and a zero
+    // maximum quantum.
+    let rho = rat(1, 2);
+    assert_eq!(
+        PairGaps::new(Rational::ZERO, rho, rho, 3, 3),
+        Err(AnalysisError::NonPositivePeriod(Rational::ZERO))
+    );
+    assert_eq!(
+        PairGaps::new(rat(1, 3), rho, rho, 3, 0),
+        Err(AnalysisError::ZeroOnlyQuantumSet)
+    );
 }
