@@ -28,10 +28,11 @@
 //! running subcommand's rows, and its usage line lists them in table
 //! order.  `-h` prints that line to stdout and exits 0 (a bare `vrdf -h`
 //! prints all four); an unknown flag, a flag of another subcommand, a
-//! missing or malformed value, a value naming no graph or task, or a
-//! missing or unknown subcommand prints an `error:` line to stderr and
-//! exits 2; a value the library refuses prints its error as one
-//! `error:` line and exits 1.
+//! missing or malformed value, a value naming no graph or task, a
+//! `--headroom` that overflows `d3`, a zero `--firings`, or a missing or
+//! unknown subcommand prints an `error:` line to stderr and exits 2; a
+//! value the library refuses prints its error as one `error:` line and
+//! exits 1.
 
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -175,11 +176,17 @@ impl Args {
     }
 
     /// `--firings`, `--random-runs`, `--threads` and `--metrics` over
-    /// the subcommand's default horizon and random-run count.
+    /// the subcommand's default horizon and random-run count.  A zero
+    /// `--firings` exits 2: a battery that checks no endpoint firing
+    /// passes whatever the capacities.
     fn battery(&self, endpoint_firings: u64, random_runs: u32) -> ValidationOptions {
         let defaults = ValidationOptions::default();
+        let endpoint_firings = self.get("--firings").unwrap_or(endpoint_firings);
+        if endpoint_firings == 0 {
+            usage_error("--firings 0 checks no endpoint firing", "");
+        }
         ValidationOptions {
-            endpoint_firings: self.get("--firings").unwrap_or(endpoint_firings),
+            endpoint_firings,
             random_runs: self.get("--random-runs").unwrap_or(random_runs),
             threads: self.get("--threads").unwrap_or(defaults.threads),
             telemetry: self.has("--metrics"),

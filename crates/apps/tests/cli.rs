@@ -135,6 +135,9 @@ fn a_value_the_run_cannot_use_is_an_error_not_a_panic() {
             "vBR, vMP3, vSRC, vDAC",
         ),
         (&faults("--headroom", HUGE), 2, "overflows d3"),
+        (&["minimize", "--firings", "0"], 2, "--firings 0"),
+        (&["faults", "--firings", "0"], 2, "--firings 0"),
+        (&["fleet", "--firings", "0"], 2, "--firings 0"),
         // Values the library refuses once the run is under way.
         (&faults("--stall-ms", HUGE), 1, "tick clock"),
         (&["baseline", "--max-events", "1"], 1, "budget exhausted"),

@@ -37,7 +37,7 @@ use vrdf_core::{AnalysisError, BufferId, GraphAnalysis, Rational, TaskGraph};
 
 use crate::engine::{SimOutcome, SimReport};
 use crate::validate::{
-    conservative_offset, EngineKind, ScenarioResult, ScenarioRunner, ValidationOptions, WorkerPanic,
+    conservative_offset, ScenarioResult, ScenarioRunner, ValidationOptions, WorkerPanic,
 };
 use crate::SimError;
 
@@ -286,11 +286,9 @@ pub struct FaultValidationReport {
     pub period: Rational,
     /// One graded result per scenario.
     pub scenarios: Vec<FaultScenarioResult>,
-    /// Scenarios whose probe worker panicked (degradation ladder — the
-    /// battery completed without them).
+    /// Scenarios whose probe worker panicked (isolated — the battery
+    /// completed without them).
     pub panics: Vec<WorkerPanic>,
-    /// Which engine executed the battery.
-    pub engine: EngineKind,
 }
 
 impl FaultValidationReport {
@@ -325,10 +323,9 @@ impl fmt::Display for FaultValidationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "fault validation at offset {} (K = {} firings, engine: {}): {}/{} scenarios recovered",
+            "fault validation at offset {} (K = {} firings): {}/{} scenarios recovered",
             self.offset,
             self.recovery_firings,
-            self.engine,
             self.scenarios
                 .iter()
                 .filter(|s| s.verdict.is_recovered())
@@ -361,8 +358,10 @@ impl fmt::Display for FaultValidationReport {
 /// # Errors
 ///
 /// Propagates [`SimError`] from construction — including
-/// [`SimError::InvalidFault`] for negative durations and unknown task
-/// names in the fault plan.  Scenario violations are graded, not raised.
+/// [`SimError::InvalidFault`] for a negative stall, [`SimError::Analysis`]
+/// for an unknown task name in the fault plan, and
+/// [`SimError::TickOverflow`] when the graph's or the plan's times do not
+/// fit the tick clock.  Scenario violations are graded, not raised.
 pub fn validate_capacities_under_faults(
     tg: &TaskGraph,
     analysis: &GraphAnalysis,
@@ -395,7 +394,6 @@ pub fn validate_capacities_under_faults(
             .map(|s| grade_scenario(s, period, opts.recovery_firings))
             .collect(),
         panics: report.panics,
-        engine: report.engine,
     })
 }
 

@@ -25,12 +25,11 @@
 //!   ([`FleetOptions::battery_options`], the oversubscription guard);
 //!   per-battery parallelism only makes sense when a single graph has
 //!   the machine to itself.
-//! * **Per-graph degradation, never fleet abort** — each job runs the
-//!   full ladder of [`crate::validate`]: analysis errors and
-//!   [`crate::SimError`]s (e.g. `TickOverflow`) become
-//!   [`JobOutcome::Failed`], a panicking job is isolated by
-//!   `catch_unwind` into [`JobOutcome::Panicked`], and graphs not yet
-//!   started when [`FleetOptions::wall_clock`] expires are
+//! * **Per-graph degradation, never fleet abort** — analysis errors and
+//!   [`crate::SimError`]s (e.g. `TickOverflow`, a graph whose times do
+//!   not fit the tick clock) become [`JobOutcome::Failed`], a panicking
+//!   job is isolated by `catch_unwind` into [`JobOutcome::Panicked`], and
+//!   graphs not yet started when [`FleetOptions::wall_clock`] expires are
 //!   [`JobOutcome::Skipped`].  The rest of the corpus always completes.
 //!   That wall clock only decides whether a graph runs: a skipped graph
 //!   is "not run", never "failed", and no job's verdict reads a clock.
@@ -51,7 +50,7 @@ use vrdf_core::{compute_buffer_capacities, TaskGraph, ThroughputConstraint};
 
 use crate::pool::{self, Outcome};
 use crate::search::{minimize_capacities, EdgeMinimum, SearchOptions};
-use crate::validate::{effective_threads, validate_capacities, EngineKind, ValidationOptions};
+use crate::validate::{effective_threads, validate_capacities, ValidationOptions};
 
 /// One graph of a fleet corpus: the application, its constraint, and a
 /// name for reports.
@@ -170,9 +169,6 @@ pub enum JobOutcome {
         complete: bool,
         /// Total simulated events across the battery.
         events: u64,
-        /// Which engine executed the battery (tick, or the rational
-        /// reference after a tick overflow).
-        engine: EngineKind,
     },
     /// The minimal-capacity search ran to completion.
     Minimized {
@@ -247,7 +243,6 @@ impl fmt::Display for JobOutcome {
                 failed,
                 complete,
                 events,
-                engine,
             } => {
                 if *all_clear {
                     write!(f, "ok ({scenarios} scenarios, {events} events)")?;
@@ -261,9 +256,6 @@ impl fmt::Display for JobOutcome {
                     if let Some(first) = failed.first() {
                         write!(f, ": {first}")?;
                     }
-                }
-                if *engine == EngineKind::Reference {
-                    write!(f, " [reference engine]")?;
                 }
                 Ok(())
             }
@@ -489,7 +481,6 @@ fn execute_job(item: &FleetItem, opts: &FleetOptions, battery: &ValidationOption
                 failed: report.failures().map(|s| s.name.clone()).collect(),
                 complete: report.complete(),
                 events: report.events(),
-                engine: report.engine,
             },
             Err(e) => JobOutcome::Failed {
                 error: e.to_string(),
@@ -541,13 +532,13 @@ pub fn run_fleet(corpus: &[FleetItem], opts: &FleetOptions) -> FleetReport {
     let deadline = opts.wall_clock.map(|budget| started + budget);
     let workers = effective_threads(opts.workers, corpus.len());
     let battery = opts.battery_options();
-    let slots = pool::run(
-        &mut vec![(); workers],
-        corpus.len(),
-        deadline,
-        None,
-        |_, i| execute_job(&corpus[i], opts, &battery),
-    );
+    let slots = pool::run(&mut vec![(); workers], corpus.len(), None, |_, i| {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            JobOutcome::Skipped
+        } else {
+            execute_job(&corpus[i], opts, &battery)
+        }
+    });
 
     let mut worker_metrics = vec![WorkerMetrics::default(); workers];
     let mut results = Vec::with_capacity(slots.len());
@@ -557,11 +548,18 @@ pub fn run_fleet(corpus: &[FleetItem], opts: &FleetOptions) -> FleetReport {
             Outcome::Done(outcome) => outcome,
             Outcome::Panicked(message) => JobOutcome::Panicked { message },
             // A fleet run is never fail-fast, so nothing is cancelled.
-            Outcome::Skipped | Outcome::Cancelled => JobOutcome::Skipped,
+            Outcome::Cancelled => JobOutcome::Skipped,
+        };
+        // A skipped graph did no work: it has no latency and adds no
+        // busy time.
+        let wall = if outcome == JobOutcome::Skipped {
+            Duration::ZERO
+        } else {
+            slot.wall
         };
         if let Some(m) = slot.worker.map(|w| &mut worker_metrics[w]) {
             m.jobs += 1;
-            m.busy += slot.wall;
+            m.busy += wall;
             if outcome.ok() {
                 m.ok += 1;
             } else if outcome == JobOutcome::Skipped {
@@ -575,7 +573,7 @@ pub fn run_fleet(corpus: &[FleetItem], opts: &FleetOptions) -> FleetReport {
             name: corpus[index].name.clone(),
             outcome,
         });
-        latencies.push(slot.wall);
+        latencies.push(wall);
     }
     let elapsed = started.elapsed();
     for metrics in &mut worker_metrics {
@@ -719,6 +717,9 @@ mod tests {
                 .sum::<usize>(),
             2
         );
+        // A skipped graph did no work.
+        assert!(report.latencies.iter().all(Duration::is_zero));
+        assert!(report.worker_metrics.iter().all(|m| m.busy.is_zero()));
     }
 
     #[test]

@@ -101,9 +101,8 @@ pub use telemetry::{
     SearchMetrics, ValidationMetrics,
 };
 pub use validate::{
-    conservative_offset, effective_threads, measure_drift, validate_capacities, EngineKind,
-    OccupancyBreach, ScenarioResult, ScenarioRunner, ValidationOptions, ValidationReport,
-    WorkerPanic,
+    conservative_offset, effective_threads, measure_drift, validate_capacities, OccupancyBreach,
+    ScenarioResult, ScenarioRunner, ValidationOptions, ValidationReport, WorkerPanic,
 };
 
 use std::fmt;

@@ -5,18 +5,16 @@
 //! Workers claim item indices in ascending order from one atomic counter
 //! and run each claimed item inside [`catch_unwind`]; the merge puts
 //! every outcome back at its index.  What a run returns therefore never
-//! depends on the worker count or on which worker ran which item.  Two
-//! bounds end a run early, and neither interrupts an item in flight:
+//! depends on the worker count or on which worker ran which item.
 //!
-//! * the **deadline** — the fleet's wall clock (a battery passes none):
-//!   an item claimed after it has passed is [`Outcome::Skipped`];
-//! * **fail-fast** — with a failure predicate, a failing item at index
-//!   `f` cancels every item above `f` ([`Outcome::Cancelled`]).  Indices
-//!   are claimed in order, so every item below `f` has already started
-//!   when `f` fails: the lowest failing index is the same at every worker
-//!   count.  Outcomes above it that were already in flight are dropped in
-//!   the merge, whatever they are, so the merged result is the
-//!   single-worker result exactly.
+//! One rule ends a run early, **fail-fast**, and it never interrupts an
+//! item in flight: with a failure predicate, a failing item at index `f`
+//! cancels every item above `f` ([`Outcome::Cancelled`]).  Indices are
+//! claimed in order, so every item below `f` has already started when
+//! `f` fails: the lowest failing index is the same at every worker count.
+//! Outcomes above it that were already in flight are dropped in the
+//! merge, whatever they are, so the merged result is the single-worker
+//! result exactly.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,8 +27,6 @@ pub(crate) enum Outcome<T> {
     Done(T),
     /// The work panicked; the payload, rendered.
     Panicked(String),
-    /// The deadline had passed when the item was claimed.
-    Skipped,
     /// A lower-index item failed first (fail-fast runs only).
     Cancelled,
 }
@@ -41,7 +37,7 @@ pub(crate) struct Slot<T> {
     pub(crate) outcome: Outcome<T>,
     /// `None` exactly when the item was cancelled.
     pub(crate) worker: Option<usize>,
-    /// Zero unless the work ran.
+    /// Zero when the item was cancelled.
     pub(crate) wall: Duration,
 }
 
@@ -64,13 +60,11 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// is, so a state must be safe to reuse after a panic — the simulation
 /// arenas are, because every run resets them first.
 ///
-/// `fails` makes the run fail-fast: a value it rejects, a panic, or a
-/// deadline skip at index `f` cancels every index above `f`.  Without it
-/// every item runs (or is skipped by the deadline).
+/// `fails` makes the run fail-fast: a value it rejects or a panic at
+/// index `f` cancels every index above `f`.  Without it every item runs.
 pub(crate) fn run<S, T>(
     states: &mut [S],
     n: usize,
-    deadline: Option<Instant>,
     fails: Option<fn(&T) -> bool>,
     work: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<Slot<T>>
@@ -91,15 +85,11 @@ where
                 return shard;
             }
             let begin = Instant::now();
-            let (outcome, wall) = if deadline.is_some_and(|d| begin >= d) {
-                (Outcome::Skipped, Duration::ZERO)
-            } else {
-                let outcome = match catch_unwind(AssertUnwindSafe(|| work(state, i))) {
-                    Ok(value) => Outcome::Done(value),
-                    Err(payload) => Outcome::Panicked(panic_message(payload)),
-                };
-                (outcome, begin.elapsed())
+            let outcome = match catch_unwind(AssertUnwindSafe(|| work(state, i))) {
+                Ok(value) => Outcome::Done(value),
+                Err(payload) => Outcome::Panicked(panic_message(payload)),
             };
+            let wall = begin.elapsed();
             let failed = fails.is_some_and(|fails| match &outcome {
                 Outcome::Done(value) => fails(value),
                 _ => true,
@@ -178,7 +168,7 @@ mod tests {
     fn outcomes_merge_by_index_at_every_worker_count() {
         for workers in [1usize, 2, 3, 8] {
             let mut states = vec![0u32; workers];
-            let slots = run(&mut states, 10, None, None, |ran, i| {
+            let slots = run(&mut states, 10, None, |ran, i| {
                 *ran += 1;
                 i as u32 * 10
             });
@@ -191,7 +181,7 @@ mod tests {
 
     #[test]
     fn panics_are_isolated_per_item() {
-        let slots = run(&mut [(), ()], 4, None, None, |_, i| {
+        let slots = run(&mut [(), ()], 4, None, |_, i| {
             assert!(i != 2, "item {i} refuses");
             i as u32
         });
@@ -209,9 +199,7 @@ mod tests {
         // so the merge equals the sequential run at every worker count.
         let fails: fn(&u32) -> bool = |v| *v == 3 || *v == 5;
         for workers in [1usize, 2, 3, 8] {
-            let slots = run(&mut vec![(); workers], 8, None, Some(fails), |_, i| {
-                i as u32
-            });
+            let slots = run(&mut vec![(); workers], 8, Some(fails), |_, i| i as u32);
             assert_eq!(
                 values(&slots),
                 [Some(0), Some(1), Some(2), Some(3), None, None, None, None],
@@ -222,7 +210,7 @@ mod tests {
                 .all(|s| matches!(s.outcome, Outcome::Cancelled) && s.worker.is_none()));
         }
         // Without the predicate, nothing is cancelled.
-        let slots = run(&mut [()], 8, None, None, |_, i| i as u32);
+        let slots = run(&mut [()], 8, None, |_, i| i as u32);
         assert!(values(&slots).iter().all(Option::is_some));
     }
 
@@ -244,7 +232,7 @@ mod tests {
                 .all(|s| matches!(s.outcome, Outcome::Cancelled) && s.worker.is_none())
         };
         for workers in [1usize, 2, 3, 8] {
-            let slots = run(&mut vec![(); workers], 8, None, Some(none_fail), work);
+            let slots = run(&mut vec![(); workers], 8, Some(none_fail), work);
             assert_eq!(values(&slots[..3]), [Some(0), Some(1), Some(2)]);
             match &slots[3].outcome {
                 Outcome::Panicked(message) => assert_eq!(message, "item 3 panics"),
@@ -252,30 +240,14 @@ mod tests {
             }
             assert!(cancelled(&slots[4..]), "workers={workers}");
 
-            let slots = run(&mut vec![(); workers], 8, None, Some(one_fails), work);
+            let slots = run(&mut vec![(); workers], 8, Some(one_fails), work);
             assert_eq!(values(&slots[..2]), [Some(0), Some(1)]);
             assert!(cancelled(&slots[2..]), "workers={workers}");
         }
     }
 
     #[test]
-    fn a_passed_deadline_skips_and_fail_fast_cancels_after_the_skip() {
-        let past = Some(Instant::now());
-        let slots = run(&mut [(), ()], 3, past, None, |_, i| i as u32);
-        assert!(slots
-            .iter()
-            .all(|s| matches!(s.outcome, Outcome::Skipped) && s.wall.is_zero()));
-        let slots = run(&mut [(), ()], 3, past, Some(|_: &u32| false), |_, i| {
-            i as u32
-        });
-        assert!(matches!(slots[0].outcome, Outcome::Skipped));
-        assert!(slots[1..]
-            .iter()
-            .all(|s| matches!(s.outcome, Outcome::Cancelled)));
-    }
-
-    #[test]
     fn an_empty_run_returns_nothing() {
-        assert!(run(&mut [()], 0, None, None, |_, i| i).is_empty());
+        assert!(run(&mut [()], 0, None, |_, i| i).is_empty());
     }
 }

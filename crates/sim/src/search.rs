@@ -291,8 +291,9 @@ fn probe_runner<'g>(
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from simulator construction (e.g. a cyclic
-/// graph).  Probe *failures* are not errors — they steer the search.
+/// Propagates [`SimError`] from simulator construction (e.g.
+/// [`SimError::TickOverflow`] when the graph's times do not fit the tick
+/// clock).  Probe *failures* are not errors — they steer the search.
 ///
 /// # Examples
 ///

@@ -32,24 +32,22 @@
 //! makes the endpoint's backlog grow without bound and misses its deadline
 //! at every offset.
 //!
-//! # The degradation ladder
+//! # Robustness
 //!
-//! A battery of thousands of probe runs must not die on its weakest run,
-//! so the runner degrades instead of aborting:
+//! A battery of thousands of probe runs must not die on its weakest run:
+//! every scenario executes inside [`std::panic::catch_unwind`], a
+//! panicking probe becomes a typed [`WorkerPanic`] entry in the report
+//! ([`ValidationReport::panics`]), and the remaining scenarios still run.
+//! A report with panics is never [`ValidationReport::all_clear`].
 //!
-//! * **Worker panic isolation** — every scenario executes inside
-//!   [`std::panic::catch_unwind`]; a panicking probe becomes a typed
-//!   [`WorkerPanic`] entry in the report ([`ValidationReport::panics`])
-//!   and the remaining scenarios still run.  A report with panics is
-//!   never [`ValidationReport::all_clear`].
-//! * **Engine fallback** — when the integer tick rescale overflows
-//!   ([`SimError::TickOverflow`]) on a fault-free battery, the runner
-//!   falls back to the exact rational-time
-//!   [`crate::reference::ReferenceSimulator`] and the report says so
-//!   ([`ValidationReport::engine`]).  Fault injection is tick-engine
-//!   only, so a faulted battery propagates the overflow instead.
+//! Every battery runs on the tick engine.  A graph whose times do not fit
+//! its `u64` tick clock is [`SimError::TickOverflow`] from the runner's
+//! constructor, faulted or not; the rational-time
+//! [`crate::reference::ReferenceSimulator`] is the differential oracle
+//! the tests compare the tick engine against, not a second battery
+//! engine.
 //!
-//! No rung reads a clock: a verdict depends only on the graph, the
+//! No verdict reads a clock: a verdict depends only on the graph, the
 //! capacities and the battery, never on the machine that ran it.  Every
 //! scenario is bounded by a count, [`ValidationOptions::max_events`].
 
@@ -67,7 +65,6 @@ use crate::engine::{
 use crate::faults::FaultPlan;
 use crate::policy::{QuantumPlan, QuantumPolicy};
 use crate::pool::{self, Outcome};
-use crate::reference::ReferenceSimulator;
 use crate::telemetry::ValidationMetrics;
 use crate::SimError;
 
@@ -78,7 +75,8 @@ pub struct ValidationOptions {
     pub endpoint_firings: u64,
     /// Number of seeded-random scenarios.
     pub random_runs: u32,
-    /// Base seed for the random scenarios (run `i` uses `base_seed + i`).
+    /// Base seed for the random scenarios (run `i` uses `base_seed + i`,
+    /// wrapping past `u64::MAX`).
     pub base_seed: u64,
     /// Extra slack added to the conservative offset (useful when probing
     /// borderline capacities by hand).
@@ -112,25 +110,6 @@ impl Default for ValidationOptions {
             max_events: 50_000_000,
             threads: 0,
             telemetry: false,
-        }
-    }
-}
-
-/// Which simulation engine executed a battery.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The integer tick engine ([`SimPlan`]) — the fast default.
-    Tick,
-    /// The exact rational-time [`ReferenceSimulator`] — the fallback when
-    /// the tick rescale overflows.
-    Reference,
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineKind::Tick => f.write_str("tick"),
-            EngineKind::Reference => f.write_str("reference"),
         }
     }
 }
@@ -240,8 +219,6 @@ pub struct ValidationReport {
     /// lower-index scenario failed first, in battery order.  Always
     /// empty for [`ScenarioRunner::validate`].
     pub cancelled: Vec<String>,
-    /// Which engine executed the battery.
-    pub engine: EngineKind,
     /// Aggregated battery telemetry, `Some` iff
     /// [`ValidationOptions::telemetry`] was set.  Wall times live here —
     /// outside every field the differential tests compare — so the
@@ -317,12 +294,6 @@ impl fmt::Display for ValidationReport {
         }
         for name in &self.cancelled {
             writeln!(f, "  {:<12} cancelled (an earlier scenario failed)", name)?;
-        }
-        if self.engine == EngineKind::Reference {
-            writeln!(
-                f,
-                "  (rational-time reference engine: the tick rescale overflowed)"
-            )?;
         }
         Ok(())
     }
@@ -407,7 +378,7 @@ fn scenario_plans(tg: &TaskGraph, opts: &ValidationOptions) -> Vec<(String, Quan
     for i in 0..opts.random_runs {
         plans.push((
             format!("random-{i}"),
-            QuantumPlan::random(opts.base_seed + i as u64),
+            QuantumPlan::random(opts.base_seed.wrapping_add(u64::from(i))),
         ));
     }
     plans
@@ -425,8 +396,10 @@ fn scenario_plans(tg: &TaskGraph, opts: &ValidationOptions) -> Vec<(String, Quan
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from simulator construction; scenario
-/// violations are reported in the [`ValidationReport`], not as errors.
+/// Propagates [`SimError`] from simulator construction (e.g.
+/// [`SimError::TickOverflow`] when the graph's times do not fit the tick
+/// clock); scenario violations are reported in the [`ValidationReport`],
+/// not as errors.
 ///
 /// # Examples
 ///
@@ -507,28 +480,13 @@ pub fn effective_threads(cap: usize, n: usize) -> usize {
 /// merge puts every result back at its scenario index, so the report is
 /// bit-identical for every thread count.
 pub struct ScenarioRunner<'a> {
-    engine: RunnerEngine<'a>,
+    plan: SimPlan<'a>,
+    /// One reusable arena per worker thread.
+    states: Vec<SimState>,
     scenarios: Vec<(String, QuantumPlan)>,
-    threads: usize,
     offset: Rational,
     telemetry: bool,
     plan_build: Duration,
-}
-
-/// The engine a [`ScenarioRunner`] executes on: the tick engine with its
-/// per-worker arenas, or the rational-time reference when the tick
-/// rescale overflowed (fault-free batteries only).
-// One instance per battery: the variant size gap is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum RunnerEngine<'a> {
-    Tick {
-        plan: SimPlan<'a>,
-        states: Vec<SimState>,
-    },
-    Reference {
-        tg: &'a TaskGraph,
-        config: SimConfig,
-    },
 }
 
 impl<'a> ScenarioRunner<'a> {
@@ -540,14 +498,11 @@ impl<'a> ScenarioRunner<'a> {
     /// Capacities may still be unset here when every later
     /// [`validate`](ScenarioRunner::validate) call overrides them.
     ///
-    /// When the tick rescale overflows, the runner falls back to the
-    /// exact rational-time [`ReferenceSimulator`] instead of failing
-    /// ([`ValidationReport::engine`] says which engine ran).
-    ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] from plan construction (invalid DAG,
-    /// ambiguous endpoint).
+    /// Propagates [`SimError`] from plan construction: an invalid DAG,
+    /// an ambiguous endpoint, or [`SimError::TickOverflow`] when the
+    /// graph's times do not fit the `u64` tick clock.
     pub fn new(
         tg: &'a TaskGraph,
         constraint: ThroughputConstraint,
@@ -561,10 +516,7 @@ impl<'a> ScenarioRunner<'a> {
     /// [`ScenarioRunner::new`], or with `Some(faults)` the fault
     /// battery's runner: every scenario replays `faults` and runs past
     /// its first deadline miss, so the post-fault transient can be
-    /// graded.  Fault injection needs the tick engine, so a tick overflow
-    /// with a non-empty fault plan is an error rather than a silent
-    /// fault-free reference fallback; a malformed plan is
-    /// [`SimError::InvalidFault`].
+    /// graded.  A malformed plan is [`SimError::InvalidFault`].
     pub(crate) fn build(
         tg: &'a TaskGraph,
         constraint: ThroughputConstraint,
@@ -583,20 +535,12 @@ impl<'a> ScenarioRunner<'a> {
         let scenarios = scenario_plans(tg, opts);
         let threads = effective_threads(opts.threads, scenarios.len());
         let build_begin = opts.telemetry.then(Instant::now);
-        let engine = match SimPlan::new(tg, config.clone()) {
-            Ok(plan) => {
-                let states = (0..threads).map(|_| plan.state()).collect();
-                RunnerEngine::Tick { plan, states }
-            }
-            Err(SimError::TickOverflow { .. }) if config.faults.is_empty() => {
-                RunnerEngine::Reference { tg, config }
-            }
-            Err(e) => return Err(e),
-        };
+        let plan = SimPlan::new(tg, config)?;
+        let states = (0..threads).map(|_| plan.state()).collect();
         Ok(ScenarioRunner {
-            engine,
+            plan,
+            states,
             scenarios,
-            threads,
             offset,
             telemetry: opts.telemetry,
             plan_build: build_begin.map_or(Duration::ZERO, |b| b.elapsed()),
@@ -618,15 +562,7 @@ impl<'a> ScenarioRunner<'a> {
     /// [`effective_threads`], so it never exceeds
     /// [`scenario_count`](ScenarioRunner::scenario_count).
     pub fn worker_count(&self) -> usize {
-        self.threads
-    }
-
-    /// Which engine the battery executes on.
-    pub fn engine(&self) -> EngineKind {
-        match self.engine {
-            RunnerEngine::Tick { .. } => EngineKind::Tick,
-            RunnerEngine::Reference { .. } => EngineKind::Reference,
-        }
+        self.states.len()
     }
 
     /// Replays the whole battery, with per-buffer capacity overrides
@@ -671,42 +607,15 @@ impl<'a> ScenarioRunner<'a> {
         capacities: &[(BufferId, u64)],
         fail_fast: bool,
     ) -> Result<ValidationReport, SimError> {
-        let engine = self.engine();
         let scenarios = &self.scenarios;
         let timed = self.telemetry;
         let fails = fail_fast.then_some(fails_battery as fn(&_) -> bool);
-
-        let slots = match &mut self.engine {
-            RunnerEngine::Tick { plan, states } => {
-                let plan = &*plan;
-                pool::run(states, scenarios.len(), None, fails, |state, i| {
-                    let (name, quanta) = &scenarios[i];
-                    plan.run_with_capacities(state, quanta, capacities)
-                        .map(|report| ScenarioResult::from_report(name.clone(), report))
-                })
-            }
-            RunnerEngine::Reference { tg, config } => {
-                // The degraded path runs sequentially; overrides are
-                // applied on one clone per call because the reference
-                // engine reads capacities from the graph.
-                let overridden;
-                let graph: &TaskGraph = if capacities.is_empty() {
-                    tg
-                } else {
-                    let mut g = (*tg).clone();
-                    for &(bid, c) in capacities {
-                        g.set_capacity(bid, c);
-                    }
-                    overridden = g;
-                    &overridden
-                };
-                pool::run(&mut [()], scenarios.len(), None, fails, |_, i| {
-                    let (name, quanta) = &scenarios[i];
-                    let sim = ReferenceSimulator::new(graph, quanta.clone(), config.clone())?;
-                    Ok(ScenarioResult::from_report(name.clone(), sim.run()))
-                })
-            }
-        };
+        let plan = &self.plan;
+        let slots = pool::run(&mut self.states, scenarios.len(), fails, |state, i| {
+            let (name, quanta) = &scenarios[i];
+            plan.run_with_capacities(state, quanta, capacities)
+                .map(|report| ScenarioResult::from_report(name.clone(), report))
+        });
 
         let merge_begin = timed.then(Instant::now);
         let mut results = Vec::new();
@@ -731,8 +640,7 @@ impl<'a> ScenarioRunner<'a> {
                     scenario: name.clone(),
                     message,
                 }),
-                // A battery has no deadline, so nothing is skipped.
-                Outcome::Skipped | Outcome::Cancelled => cancelled.push(name.clone()),
+                Outcome::Cancelled => cancelled.push(name.clone()),
             }
         }
         if let Some(e) = first_error {
@@ -747,7 +655,6 @@ impl<'a> ScenarioRunner<'a> {
             scenarios: results,
             panics,
             cancelled,
-            engine,
             metrics,
         })
     }
@@ -874,7 +781,6 @@ mod tests {
             scenarios: vec![broken],
             panics: Vec::new(),
             cancelled: Vec::new(),
-            engine: EngineKind::Tick,
             metrics: None,
         };
         assert!(summary.to_string().contains("engine accounting"));
@@ -892,7 +798,6 @@ mod tests {
                 message: "index out of bounds".into(),
             }],
             cancelled: Vec::new(),
-            engine: EngineKind::Tick,
             metrics: None,
         };
         assert!(!report.all_clear());

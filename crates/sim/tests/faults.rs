@@ -12,9 +12,10 @@
 //!    exact Eq. (4) capacities miss under the same stall and — the DAC
 //!    being exactly rate-matched (`ρ = τ`) — never recover, and an
 //!    under-provisioned assignment misses before the fault strikes.
-//! 3. **Degradation ladder** — a tick-overflow-forcing graph completes
-//!    the battery on the reference engine, with the engine annotated,
-//!    instead of aborting it.
+//! 3. **Tick overflow** — a graph whose times do not fit the `u64` tick
+//!    clock is a typed `SimError::TickOverflow` from the battery, the
+//!    search and the fault battery alike, and one failed graph of a
+//!    fleet run.
 
 use vrdf_apps::synthetic::{random_chain_of_length, random_dag, ChainSpec, DagSpec};
 use vrdf_apps::{mp3_chain, mp3_constraint, mp3_fork_join};
@@ -22,9 +23,10 @@ use vrdf_core::{
     compute_buffer_capacities, rat, QuantumSet, Rational, TaskGraph, ThroughputConstraint,
 };
 use vrdf_sim::{
-    conservative_offset, validate_capacities, validate_capacities_under_faults, EngineKind,
-    FaultPlan, FaultValidationOptions, QuantumPlan, QuantumPolicy, RecoveryVerdict,
-    ReferenceSimulator, SimConfig, SimError, SimReport, Simulator, TraceLevel, ValidationOptions,
+    conservative_offset, minimize_capacities, run_fleet, validate_capacities,
+    validate_capacities_under_faults, FaultPlan, FaultValidationOptions, FleetItem, FleetJob,
+    FleetOptions, JobOutcome, QuantumPlan, QuantumPolicy, RecoveryVerdict, ReferenceSimulator,
+    SearchOptions, SimConfig, SimError, SimReport, Simulator, TraceLevel, ValidationOptions,
 };
 
 /// Asserts two reports are bit-identical in every observable field.
@@ -356,7 +358,7 @@ fn tick_overflow_graph() -> (TaskGraph, ThroughputConstraint) {
 }
 
 #[test]
-fn tick_overflow_falls_back_to_the_reference_engine() {
+fn tick_overflow_is_a_typed_error_on_every_path() {
     let (tg, constraint) = tick_overflow_graph();
     // The tick engine itself must refuse this graph...
     let analysis = compute_buffer_capacities(&tg, constraint).expect("analyses fine");
@@ -370,33 +372,62 @@ fn tick_overflow_falls_back_to_the_reference_engine() {
         Simulator::new(&sized, QuantumPlan::uniform(QuantumPolicy::Max), config),
         Err(SimError::TickOverflow { .. })
     ));
-    // ...while the battery degrades to the rational-time reference and
-    // completes with the engine annotated.
+    // ...and so does every path that runs a battery on it, whether or
+    // not it injects faults.
     let opts = ValidationOptions {
         endpoint_firings: 200,
         random_runs: 1,
         ..ValidationOptions::default()
     };
-    let report = validate_capacities(&tg, &analysis, &opts).expect("fallback battery runs");
-    assert_eq!(report.engine, EngineKind::Reference);
-    assert!(report.all_clear(), "{report}");
-    assert!(report.to_string().contains("reference engine"));
+    let search = SearchOptions {
+        validation: opts.clone(),
+        ..SearchOptions::default()
+    };
+    let fault_opts = FaultValidationOptions {
+        validation: opts.clone(),
+        recovery_firings: 8,
+    };
+    let stall = FaultPlan::new().stall("a", 0, 1, rat(1, 3));
+    let errors = [
+        ("validate", validate_capacities(&tg, &analysis, &opts).err()),
+        (
+            "minimize",
+            minimize_capacities(&tg, &analysis, &search).err(),
+        ),
+        (
+            "faults, empty plan",
+            validate_capacities_under_faults(&tg, &analysis, &[], &FaultPlan::new(), &fault_opts)
+                .err(),
+        ),
+        (
+            "faults, one stall",
+            validate_capacities_under_faults(&tg, &analysis, &[], &stall, &fault_opts).err(),
+        ),
+    ];
+    for (path, error) in errors {
+        assert!(
+            matches!(error, Some(SimError::TickOverflow { .. })),
+            "{path}: {error:?}"
+        );
+    }
 
-    // Fault injection is tick-engine only: the same graph with a
-    // non-empty fault plan must propagate the overflow, not silently
-    // drop the faults.
-    let faults = FaultPlan::new().stall("a", 0, 1, rat(1, 3));
-    let result = validate_capacities_under_faults(
-        &tg,
-        &analysis,
-        &[],
-        &faults,
-        &FaultValidationOptions {
-            validation: opts,
-            recovery_firings: 8,
-        },
-    );
-    assert!(matches!(result, Err(SimError::TickOverflow { .. })));
+    // A fleet run folds the error into that graph's outcome.
+    let corpus = [FleetItem {
+        name: "overflow".to_owned(),
+        graph: tg,
+        constraint,
+    }];
+    for job in [FleetJob::Validate, FleetJob::Minimize] {
+        let fleet = FleetOptions {
+            job,
+            validation: opts.clone(),
+            ..FleetOptions::default()
+        };
+        match &run_fleet(&corpus, &fleet).results[0].outcome {
+            JobOutcome::Failed { error } => assert!(error.contains("tick clock"), "{job}: {error}"),
+            other => panic!("{job}: a tick overflow must fail the graph, got {other}"),
+        }
+    }
 }
 
 #[test]

@@ -222,8 +222,8 @@ fn corpus() -> Vec<Pathology> {
     });
 
     // Denominators near the i128 edge: the analysis reduces them fine,
-    // the tick engine must refuse with `TickOverflow` rather than wrap,
-    // and the reference fallback must survive the rational arithmetic.
+    // and the tick engine must refuse with `TickOverflow` rather than
+    // wrap.
     let huge = i128::MAX / 2 - 1;
     let tg = TaskGraph::linear_chain(
         [
@@ -321,13 +321,20 @@ fn overflowing() -> Vec<Pathology> {
     ]
 }
 
-/// Small, fast battery options.
-fn quick_opts() -> ValidationOptions {
-    ValidationOptions {
+/// Small, fast batteries: the second one's random seeds wrap past
+/// `u64::MAX`.
+fn batteries() -> [ValidationOptions; 2] {
+    let quick = ValidationOptions {
         endpoint_firings: 20,
         random_runs: 1,
         ..ValidationOptions::default()
-    }
+    };
+    let wrapping = ValidationOptions {
+        base_seed: u64::MAX,
+        random_runs: 2,
+        ..quick.clone()
+    };
+    [quick, wrapping]
 }
 
 #[test]
@@ -349,31 +356,33 @@ fn every_entry_point_is_total_over_the_pathology_corpus() {
 
         // The scenario battery, fault battery, and minimization search
         // must all return rather than unwind.
-        let _ = validate_capacities(&p.tg, &analysis, &quick_opts());
         let faults = FaultPlan::new().stall(
             p.tg.tasks().next().map(|(_, t)| t.name()).unwrap_or(""),
             0,
             1,
             rat(1, 2),
         );
-        let _ = validate_capacities_under_faults(
-            &p.tg,
-            &analysis,
-            &[],
-            &faults,
-            &FaultValidationOptions {
-                validation: quick_opts(),
-                recovery_firings: 2,
-            },
-        );
-        let _ = minimize_capacities(
-            &p.tg,
-            &analysis,
-            &SearchOptions {
-                validation: quick_opts(),
-                ..SearchOptions::default()
-            },
-        );
+        for battery in batteries() {
+            let _ = validate_capacities(&p.tg, &analysis, &battery);
+            let _ = validate_capacities_under_faults(
+                &p.tg,
+                &analysis,
+                &[],
+                &faults,
+                &FaultValidationOptions {
+                    validation: battery.clone(),
+                    recovery_firings: 2,
+                },
+            );
+            let _ = minimize_capacities(
+                &p.tg,
+                &analysis,
+                &SearchOptions {
+                    validation: battery,
+                    ..SearchOptions::default()
+                },
+            );
+        }
 
         // Both engines, straight on the sized graph.  The conservative
         // offset itself may be unrepresentable (huge denominators) — a
