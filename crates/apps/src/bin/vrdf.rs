@@ -12,14 +12,18 @@
 //! * `fleet`: one `--job` on every graph of a seeded synthetic corpus on
 //!   one worker pool, with a merged report identical for every `--jobs`;
 //!   exits 1 when any graph fails, panics or is skipped.
+//! * `tables`: the paper's Section 5 table — the MP3 capacities against
+//!   the published column — and its 10,000-firing battery; exits 1 when
+//!   the battery fails.
 //!
 //! ```console
+//! $ cargo run --release -p vrdf-apps -- tables
 //! $ cargo run --release -p vrdf-apps -- minimize --graph fork-join
 //! $ cargo run --release -p vrdf-apps -- faults --stall-ms 12 --headroom 882
 //! $ cargo run --release -p vrdf-apps -- fleet --job minimize --batch 32
 //! ```
 //!
-//! The first three share one case-study preamble (`analysed_case_study`).
+//! All but `fleet` share one case-study preamble (`analysed_case_study`).
 //! `--metrics` prints telemetry to stderr (under `fleet` the pool's, with
 //! battery telemetry off); `--trace-out PATH` writes a Perfetto trace of
 //! one instrumented run of the graph (under `fleet`, the first graph).
@@ -27,7 +31,7 @@
 //! `FLAGS` is the whole grammar: the one parse loop accepts exactly the
 //! running subcommand's rows, and its usage line lists them in table
 //! order.  `-h` prints that line to stdout and exits 0 (a bare `vrdf -h`
-//! prints all four); an unknown flag, a flag of another subcommand, a
+//! prints all five); an unknown flag, a flag of another subcommand, a
 //! missing or malformed value, a value naming no graph or task, a
 //! `--headroom` that overflows `d3`, a zero `--firings`, or a missing or
 //! unknown subcommand prints an `error:` line to stderr and exits 2; a
@@ -41,7 +45,9 @@ use std::process::exit;
 use std::str::FromStr;
 use std::time::Duration;
 
-use vrdf_apps::{case_study, fleet_corpus, write_trace, CaseStudy, CASE_STUDY_NAMES};
+use vrdf_apps::{
+    case_study, fleet_corpus, write_trace, CaseStudy, CASE_STUDY_NAMES, MP3_PUBLISHED_CAPACITIES,
+};
 use vrdf_core::{
     compute_buffer_capacities, GraphAnalysis, Rational, TaskGraph, ThroughputConstraint,
 };
@@ -55,7 +61,7 @@ use vrdf_sim::{
     SearchOptions, ValidationOptions,
 };
 
-use Sub::{Baseline, Faults, Fleet, Minimize};
+use Sub::{Baseline, Faults, Fleet, Minimize, Tables};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Sub {
@@ -63,13 +69,14 @@ enum Sub {
     Baseline,
     Faults,
     Fleet,
+    Tables,
 }
 
 impl Sub {
-    const ALL: [Sub; 4] = [Minimize, Baseline, Faults, Fleet];
+    const ALL: [Sub; 5] = [Minimize, Baseline, Faults, Fleet, Tables];
 
     fn name(self) -> &'static str {
-        ["minimize", "baseline", "faults", "fleet"][self as usize]
+        ["minimize", "baseline", "faults", "fleet", "tables"][self as usize]
     }
 }
 
@@ -103,7 +110,7 @@ const FLAGS: &[Flag] = &[
     Flag("--trace-out", "PATH", &Sub::ALL),
 ];
 
-/// The usage line of `sub`, or all four of them for the bare `vrdf`.
+/// The usage line of `sub`, or all of them for the bare `vrdf`.
 fn usage(sub: Option<Sub>) -> String {
     let Some(sub) = sub else {
         return Sub::ALL.map(|s| usage(Some(s))).join("\n");
@@ -246,6 +253,7 @@ fn main() {
         Baseline => baseline(&args),
         Faults => faults(&args),
         Fleet => fleet(&args),
+        Tables => tables(&args),
     }
 }
 
@@ -473,6 +481,43 @@ fn fleet(args: &Args) {
         let failed = report.results.iter().filter(|r| !r.outcome.ok()).count();
         let total = report.results.len();
         eprintln!("error: {failed} of {total} graphs did not come back clean");
+        exit(1);
+    }
+}
+
+/// The Section 5 table: the MP3 capacities against the published column,
+/// then the battery at 10,000 endpoint firings (exit 1 when it fails).
+fn tables(args: &Args) {
+    let opts = args.battery(10_000, 4);
+    let (study, analysis) = analysed_case_study(args);
+    println!("MP3 playback chain (WiggersBS08, Section 5)");
+    println!(
+        "{:<6} {:>10} {:>10} {:>14}",
+        "buffer", "computed", "published", "token period"
+    );
+    for (cap, published) in analysis.capacities().iter().zip(MP3_PUBLISHED_CAPACITIES) {
+        println!(
+            "{:<6} {:>10} {:>10} {:>14}",
+            cap.name,
+            cap.capacity,
+            published,
+            cap.token_period.to_string()
+        );
+    }
+    println!(
+        "total  {:>10} {:>10}",
+        analysis.total_capacity(),
+        MP3_PUBLISHED_CAPACITIES.iter().sum::<u64>()
+    );
+    let report = validate_capacities(&study.graph, &analysis, &opts)
+        .unwrap_or_else(|e| fail("the battery failed", e));
+    print!("{report}");
+    if let Some(m) = &report.metrics {
+        eprint!("{}", m.snapshot());
+    }
+    args.write_trace(&study.graph, study.constraint);
+    if !report.all_clear() {
+        eprintln!("error: the Eq. (4) capacities failed validation");
         exit(1);
     }
 }

@@ -311,11 +311,9 @@ pub mod synthetic {
         /// When `Some(n)`, generated response times are snapped *down*
         /// onto the grid `τ/n` at generation time, bounding the tick
         /// clock's denominator LCM by `den(τ)·n` regardless of chain
-        /// length.  Unlike [`quantize_response_times`] — which must round
-        /// *up* because it models an existing chain conservatively —
-        /// flooring here is sound: the snapped value is still below the
-        /// task's bound `φ(v)`, so it simply picks a different random
-        /// feasible chain.
+        /// length.  Flooring is sound here: the snapped value is still
+        /// below the task's bound `φ(v)`, so it simply picks a different
+        /// random feasible chain.
         pub rho_grid_subdivision: Option<u64>,
     }
 
@@ -500,60 +498,6 @@ pub mod synthetic {
             }
         })?;
         Ok((tg, constraint))
-    }
-
-    /// Rounds every response time *up* to a multiple of `grid` and
-    /// returns the rebuilt chain (names, quanta, and capacities
-    /// preserved).
-    ///
-    /// Random chains accumulate denominators multiplicatively along the
-    /// `φ` propagation, which can push the tick clock's denominator LCM
-    /// past what `vrdf_sim`'s integer rescaling accepts
-    /// ([`vrdf_sim` rejects it gracefully]).  Snapping response times to
-    /// one shared grid bounds the LCM by `den(grid)` regardless of chain
-    /// length.  Rounding *up* keeps the quantized model conservative: by
-    /// VRDF monotonicity a longer response time can only increase the
-    /// computed capacities and delays, so capacities derived from the
-    /// quantized chain remain sufficient for the original.  (Rounding
-    /// down would be optimistic — and would collapse any response time
-    /// below the grid to zero.)  The flip side: a response time within
-    /// one grid step of its bound `φ(v)` can make the quantized chain
-    /// infeasible, so pick a grid with slack against the tightest task.
-    ///
-    /// [`vrdf_sim` rejects it gracefully]: https://docs.rs/vrdf-sim
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors from [`TaskGraph`] (none for a
-    /// graph that was itself valid).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `grid` is not strictly positive.
-    pub fn quantize_response_times(
-        tg: &TaskGraph,
-        grid: Rational,
-    ) -> Result<TaskGraph, AnalysisError> {
-        assert!(grid.is_positive(), "grid must be strictly positive");
-        let mut out = TaskGraph::new();
-        let mut ids = Vec::with_capacity(tg.task_count());
-        for (_, task) in tg.tasks() {
-            let steps = (task.response_time() / grid).ceil();
-            ids.push(out.add_task(task.name(), grid * Rational::from(steps))?);
-        }
-        for (_, buffer) in tg.buffers() {
-            let id = out.connect(
-                buffer.name(),
-                ids[buffer.producer().index()],
-                ids[buffer.consumer().index()],
-                buffer.production().clone(),
-                buffer.consumption().clone(),
-            )?;
-            if let Some(capacity) = buffer.capacity() {
-                out.set_capacity(id, capacity);
-            }
-        }
-        Ok(out)
     }
 
     fn build(
@@ -1025,7 +969,6 @@ mod tests {
                 .condensed()
                 .unwrap_or_else(|e| panic!("seed {seed} built an invalid cyclic graph: {e}"));
             assert_eq!(view.feedback_buffers().len(), 1, "seed {seed}");
-            assert!(tg.chain().is_err(), "cyclic graphs are never chains");
             let analysis = compute_buffer_capacities(&tg, constraint);
             assert!(
                 analysis.is_ok(),
@@ -1079,7 +1022,6 @@ mod tests {
                 ("d3".to_owned(), 485),
             ]
         );
-        assert!(analysis.violations().is_empty());
         // The demux must keep the 24 ms frame cadence; the converters the
         // 10 ms cadence of the chain's vSRC.
         let phi = |name: &str| analysis.rates().phi(tg.task_by_name(name).unwrap());
@@ -1127,12 +1069,9 @@ mod tests {
             assert_eq!(dag.sources().len(), 1);
             assert_eq!(dag.sinks().len(), 1);
             assert!(compute_buffer_capacities(&tg, constraint).is_ok());
-            if width == 1 {
-                // Width 1 degenerates to a plain chain.
-                assert!(tg.chain().is_ok());
-            } else {
-                assert!(tg.chain().is_err());
-            }
+            // Width 1 degenerates to a plain chain: no task forks.
+            let forks = tg.tasks().any(|(t, _)| tg.output_buffers(t).len() > 1);
+            assert_eq!(forks, width > 1, "width {width}");
         }
     }
 
@@ -1180,52 +1119,9 @@ mod tests {
     }
 
     #[test]
-    fn quantized_long_chains_are_conservative_on_a_small_clock() {
-        use vrdf_core::AnalysisOptions;
-        let spec = synthetic::ChainSpec::default();
-        let (tg, constraint) = synthetic::random_chain_of_length(42, 64, &spec).unwrap();
-        let grid = constraint.period() / Rational::from(1024u64);
-        let quantized = synthetic::quantize_response_times(&tg, grid).unwrap();
-        assert_eq!(quantized.task_count(), tg.task_count());
-        // Rounding up never shrinks a response time (the conservative
-        // direction), and overshoots by less than one grid step.
-        for ((_, q), (_, orig)) in quantized.tasks().zip(tg.tasks()) {
-            assert!(q.response_time() >= orig.response_time());
-            assert!(q.response_time() < orig.response_time() + grid);
-        }
-        // The denominators now share the one grid.
-        let mut lcm: i128 = 1;
-        for (_, task) in quantized.tasks() {
-            lcm = task.response_time().lcm_den(lcm).unwrap();
-        }
-        assert!(lcm <= grid.denom());
-        // Conservatism (the point of rounding up): per buffer, the
-        // quantized chain never computes a *smaller* capacity than the
-        // original — its capacities stay sufficient for the real chain.
-        // Tasks at their bound (ρ == φ) step past it under ceil, so the
-        // analyses run without feasibility enforcement.
-        let lenient = AnalysisOptions {
-            enforce_feasibility: false,
-            ..AnalysisOptions::default()
-        };
-        let original = vrdf_core::compute_buffer_capacities_with(&tg, constraint, lenient).unwrap();
-        let conservative =
-            vrdf_core::compute_buffer_capacities_with(&quantized, constraint, lenient).unwrap();
-        for (q, orig) in conservative.capacities().iter().zip(original.capacities()) {
-            assert!(
-                q.capacity >= orig.capacity,
-                "{}: quantized capacity {} below original {}",
-                q.name,
-                q.capacity,
-                orig.capacity
-            );
-        }
-    }
-
-    #[test]
     fn grid_generated_chains_are_feasible_on_a_bounded_clock() {
         // The generation-time grid: chains come out feasible *and* with a
-        // bounded tick-clock LCM, with no post-hoc quantization step.
+        // bounded tick-clock LCM.
         let spec = synthetic::ChainSpec {
             rho_grid_subdivision: Some(1024),
             ..synthetic::ChainSpec::default()
@@ -1250,42 +1146,6 @@ mod tests {
             ..synthetic::ChainSpec::default()
         };
         let _ = synthetic::random_chain_of_length(1, 4, &spec);
-    }
-
-    #[test]
-    fn quantization_rounds_sub_grid_response_times_up_not_to_zero() {
-        // Regression: flooring collapsed any rho below the grid to a zero
-        // response time — an *optimistic* model whose capacities need not
-        // hold for the real chain.  Ceil must land on one full grid step.
-        let grid = Rational::new(1, 100);
-        let mut tg = TaskGraph::new();
-        let sub = tg.add_task("sub", grid / Rational::from(10u64)).unwrap();
-        let exact = tg.add_task("exact", grid * Rational::from(3u64)).unwrap();
-        let zero = tg.add_task("zero", Rational::ZERO).unwrap();
-        tg.connect(
-            "b0",
-            sub,
-            exact,
-            QuantumSet::constant(2),
-            QuantumSet::constant(1),
-        )
-        .unwrap();
-        tg.connect(
-            "b1",
-            exact,
-            zero,
-            QuantumSet::constant(1),
-            QuantumSet::constant(1),
-        )
-        .unwrap();
-
-        let quantized = synthetic::quantize_response_times(&tg, grid).unwrap();
-        let rho = |g: &TaskGraph, name: &str| g.task(g.task_by_name(name).unwrap()).response_time();
-        // rho < grid rounds up to the grid, never down to zero.
-        assert_eq!(rho(&quantized, "sub"), grid);
-        // Exact multiples and true zeros are fixed points.
-        assert_eq!(rho(&quantized, "exact"), grid * Rational::from(3u64));
-        assert_eq!(rho(&quantized, "zero"), Rational::ZERO);
     }
 
     #[test]

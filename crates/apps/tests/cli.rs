@@ -5,11 +5,12 @@
 //! missing or unknown subcommand exits 2 with every usage line.  A flag
 //! value the run cannot use is an `error:` line too, never a panic.
 //! `--metrics` adds a counter table on stderr that no thread count
-//! changes, and `vrdf minimize`'s stdout is pinned line for line.
+//! changes, and the stdout of `vrdf minimize` and `vrdf tables` is pinned
+//! line for line.
 
 use std::process::Command;
 
-const SUBCOMMANDS: [&str; 4] = ["minimize", "baseline", "faults", "fleet"];
+const SUBCOMMANDS: [&str; 5] = ["minimize", "baseline", "faults", "fleet", "tables"];
 
 fn run(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_vrdf"))
@@ -192,4 +193,31 @@ capacity minimization at offset 11416591/35280000: total 10160 -> 5554 (gap 4606
   d3              882        882      0     441       1
 battery health: 0 occupancy breaches
 fail-fast probes: 54 scenarios cancelled after an earlier scenario failed
+";
+
+#[test]
+fn tables_prints_the_section_5_table_and_a_clear_battery() {
+    let (code, stdout, stderr) = run(&["tables"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    assert_eq!(stdout, TABLES_STDOUT);
+}
+
+/// The stdout of `vrdf tables`: the MP3 capacities against the published
+/// Section 5 column, then the 10,000-firing battery.
+const TABLES_STDOUT: &str = "\
+MP3 playback chain (WiggersBS08, Section 5)
+buffer   computed  published   token period
+d1           6015       6015        1/40000
+d2           3263       3263        1/48000
+d3            882        882        1/44100
+total       10160      10160
+validation at offset 11416591/35280000: 7/7 scenarios clear
+  const-max    ok (10000 endpoint firings)
+  const-min    ok (10000 endpoint firings)
+  cycle-minmax ok (10000 endpoint firings)
+  random-0     ok (10000 endpoint firings)
+  random-1     ok (10000 endpoint firings)
+  random-2     ok (10000 endpoint firings)
+  random-3     ok (10000 endpoint firings)
 ";

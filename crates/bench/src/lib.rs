@@ -1,8 +1,8 @@
-//! # vrdf-bench — benchmarks and figure regeneration
+//! # vrdf-bench — benchmarks
 //!
 //! Hosts the benchmark binaries (`benches/`, custom `harness = false`
-//! runners to stay dependency-free) and the `tables` binary that
-//! regenerates the paper's Section 5 table with a simulation cross-check.
+//! runners to stay dependency-free).  The paper's Section 5 table is
+//! `vrdf tables` (crate `vrdf-apps`).
 //!
 //! The repository's benchmark is `perfbench/`: end-to-end and per-layer
 //! metrics of the three capacity tools, with checked answers.  The four

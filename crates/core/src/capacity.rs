@@ -1,16 +1,17 @@
 //! The buffer-capacity algorithm (Section 4), generalized from chains to
-//! fork/join DAGs.
+//! fork/join DAGs and cyclic graphs.
 //!
-//! For every buffer of a validated task graph the algorithm
+//! Every graph takes one path: [`TaskGraph::condensed`] validates the
+//! topology, [`RateAssignment::derive_dag`] derives the bound rates from
+//! the throughput constraint (Sections 4.3–4.4; on a chain, the paper's
+//! walk from the constrained endpoint), the schedule-validity conditions
+//! `ρ(v) ≤ φ(v)` under which the existence schedules are admissible must
+//! hold, and then for every buffer [`PairGaps`]
 //!
-//! 1. derives the bound rate from the throughput constraint
-//!    ([`RateAssignment`], Sections 4.3–4.4),
-//! 2. computes the minimum distance between the space-production and
-//!    space-consumption bounds (Eq. 3, [`PairGaps`]),
-//! 3. converts the distance into a sufficient number of initial tokens on
-//!    the reverse edge (Eq. 4) — the buffer capacity `ζ(b)` in containers,
-//! 4. checks the schedule-validity conditions `ρ(v) ≤ φ(v)` under which
-//!    the existence schedules are admissible.
+//! 1. computes the minimum distance between the space-production and
+//!    space-consumption bounds (Eq. 3),
+//! 2. converts the distance into a sufficient number of initial tokens on
+//!    the reverse edge (Eq. 4) — the buffer capacity `ζ(b)` in containers.
 //!
 //! The capacities are *sufficient* for the throughput constraint for every
 //! admissible sequence of production and consumption quanta: by
@@ -50,37 +51,10 @@ pub enum ConstrainedRelease {
 }
 
 /// Tunable knobs for [`compute_buffer_capacities_with`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisOptions {
     /// Space-release convention of the constrained actor.
     pub release: ConstrainedRelease,
-    /// When `true` (default), a response time exceeding its bound `φ(v)`
-    /// aborts the analysis with
-    /// [`AnalysisError::InfeasibleResponseTime`]; when `false` the
-    /// violations are reported as [`GraphAnalysis::violations`] and the
-    /// capacities are still computed (useful for what-if exploration).
-    pub enforce_feasibility: bool,
-}
-
-impl Default for AnalysisOptions {
-    fn default() -> Self {
-        AnalysisOptions {
-            release: ConstrainedRelease::default(),
-            enforce_feasibility: true,
-        }
-    }
-}
-
-/// A schedule-validity violation: a task whose worst-case response time
-/// exceeds the minimal distance between its consecutive starts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FeasibilityViolation {
-    /// The offending task.
-    pub task: TaskId,
-    /// Its worst-case response time `κ(w)`.
-    pub response_time: Rational,
-    /// The maximum admissible value, `φ(v)`.
-    pub bound: Rational,
 }
 
 /// The computed capacity of one buffer, with the quantities that produced
@@ -124,7 +98,6 @@ pub struct GraphAnalysis {
     options: AnalysisOptions,
     capacities: Vec<BufferCapacity>,
     rates: RateAssignment,
-    violations: Vec<FeasibilityViolation>,
 }
 
 impl GraphAnalysis {
@@ -136,7 +109,7 @@ impl GraphAnalysis {
     }
 
     /// The capacity computed for a specific buffer, if it is part of the
-    /// analysed chain.
+    /// analysed graph.
     pub fn capacity_of(&self, buffer: BufferId) -> Option<&BufferCapacity> {
         self.capacities.iter().find(|c| c.buffer == buffer)
     }
@@ -157,13 +130,6 @@ impl GraphAnalysis {
     #[inline]
     pub fn options(&self) -> AnalysisOptions {
         self.options
-    }
-
-    /// Schedule-validity violations (empty unless
-    /// [`AnalysisOptions::enforce_feasibility`] was disabled).
-    #[inline]
-    pub fn violations(&self) -> &[FeasibilityViolation] {
-        &self.violations
     }
 
     /// Sum of all buffer capacities in containers — the figure of merit
@@ -253,9 +219,7 @@ pub fn compute_buffer_capacities(
 ///
 /// # Errors
 ///
-/// See [`compute_buffer_capacities`]; with
-/// `options.enforce_feasibility == false` validity violations are reported
-/// in the result instead of failing.
+/// See [`compute_buffer_capacities`].
 pub fn compute_buffer_capacities_with(
     tg: &TaskGraph,
     constraint: ThroughputConstraint,
@@ -267,77 +231,14 @@ pub fn compute_buffer_capacities_with(
         ConstraintLocation::Sink => dag.unique_sink(tg)?,
         ConstraintLocation::Source => dag.unique_source(tg)?,
     };
-    assemble(
-        tg,
-        constraint,
-        options,
-        dag.tasks(),
-        rates,
-        constrained_task,
-    )
-}
 
-/// Like [`compute_buffer_capacities_with`], but through the validated
-/// **chain** special case: [`TaskGraph::chain`] plus the chain rate walk
-/// of [`RateAssignment::derive`].
-///
-/// On any linear graph the result is bit-identical to the general DAG
-/// path (`tests/differential.rs` pins this); the entry exists so that
-/// chain-only callers get chain-specific diagnostics
-/// ([`AnalysisError::NotAChain`]) and so the legacy walk stays testable
-/// against the general propagation.
-///
-/// # Errors
-///
-/// Chain-topology errors from [`TaskGraph::chain`]; otherwise as
-/// [`compute_buffer_capacities`].
-pub fn compute_buffer_capacities_via_chain(
-    tg: &TaskGraph,
-    constraint: ThroughputConstraint,
-    options: AnalysisOptions,
-) -> Result<GraphAnalysis, AnalysisError> {
-    let chain = tg.chain()?;
-    let rates = RateAssignment::derive(tg, &chain, constraint)?;
-    let constrained_task = match constraint.location() {
-        ConstraintLocation::Sink => chain.sink(),
-        ConstraintLocation::Source => chain.source(),
-    };
-    assemble(
-        tg,
-        constraint,
-        options,
-        chain.tasks(),
-        rates,
-        constrained_task,
-    )
-}
-
-/// The shared back half of the analysis: schedule-validity checks
-/// (Section 4.2) and the per-edge Eq. (4) capacity assignment, identical
-/// for the chain and DAG front ends.
-fn assemble(
-    tg: &TaskGraph,
-    constraint: ThroughputConstraint,
-    options: AnalysisOptions,
-    tasks: &[TaskId],
-    rates: RateAssignment,
-    constrained_task: TaskId,
-) -> Result<GraphAnalysis, AnalysisError> {
     // Schedule-validity conditions (Section 4.2).
-    let mut violations = Vec::new();
-    for &task in tasks {
+    for &task in dag.tasks() {
         let rho = tg.task(task).response_time();
         let bound = rates.phi(task);
         if rho > bound {
-            if options.enforce_feasibility {
-                return Err(AnalysisError::InfeasibleResponseTime {
-                    actor: tg.task(task).name().to_owned(),
-                    response_time: rho,
-                    bound,
-                });
-            }
-            violations.push(FeasibilityViolation {
-                task,
+            return Err(AnalysisError::InfeasibleResponseTime {
+                actor: tg.task(task).name().to_owned(),
                 response_time: rho,
                 bound,
             });
@@ -401,7 +302,6 @@ fn assemble(
         options,
         capacities,
         rates,
-        violations,
     })
 }
 
@@ -450,7 +350,6 @@ pub fn pair_capacity(
         ThroughputConstraint::on_sink(period)?,
         AnalysisOptions {
             release: ConstrainedRelease::AfterResponseTime,
-            enforce_feasibility: true,
         },
     )?;
     Ok(analysis.capacities()[0].clone())
@@ -514,7 +413,6 @@ mod tests {
         let caps: Vec<u64> = analysis.capacities().iter().map(|c| c.capacity).collect();
         assert_eq!(caps, vec![6015, 3263, 882], "published Section 5 numbers");
         assert_eq!(analysis.total_capacity(), 6015 + 3263 + 882);
-        assert!(analysis.violations().is_empty());
     }
 
     #[test]
@@ -527,7 +425,6 @@ mod tests {
             ThroughputConstraint::on_sink(rat(1, 44100)).unwrap(),
             AnalysisOptions {
                 release: ConstrainedRelease::AfterResponseTime,
-                enforce_feasibility: true,
             },
         )
         .unwrap();
@@ -604,22 +501,10 @@ mod tests {
         let err =
             compute_buffer_capacities(&tg, ThroughputConstraint::on_sink(rat(1, 44100)).unwrap())
                 .unwrap_err();
-        assert!(matches!(err, AnalysisError::InfeasibleResponseTime { .. }));
-
-        // Without enforcement the analysis completes and reports the
-        // violation.
-        let analysis = compute_buffer_capacities_with(
-            &tg,
-            ThroughputConstraint::on_sink(rat(1, 44100)).unwrap(),
-            AnalysisOptions {
-                release: ConstrainedRelease::Immediate,
-                enforce_feasibility: false,
-            },
-        )
-        .unwrap();
-        assert_eq!(analysis.violations().len(), 1);
-        assert_eq!(analysis.violations()[0].bound, rat(10, 1000));
-        assert_eq!(analysis.capacities().len(), 1);
+        assert!(matches!(
+            err,
+            AnalysisError::InfeasibleResponseTime { bound, .. } if bound == rat(10, 1000)
+        ));
     }
 
     #[test]

@@ -19,9 +19,9 @@ pub enum AnalysisError {
     UnknownName(String),
     /// A task graph must contain at least one task.
     EmptyGraph,
-    /// A task has more than one input buffer or more than one output
-    /// buffer, so the graph is not a chain (Section 3.1 restricts the
-    /// topology to chains).
+    /// [`crate::TaskGraph::linear_chain`] got a buffer count that does
+    /// not match its tasks (a chain of `n` tasks needs `n − 1` buffers):
+    /// a buffer with no downstream task, or a task no buffer reaches.
     NotAChain {
         /// The offending task.
         task: String,

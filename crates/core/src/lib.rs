@@ -14,7 +14,7 @@
 //! MP3 frame parser — classical (C)SDF buffer-sizing techniques no longer
 //! apply.  This crate computes buffer capacities that are **guaranteed
 //! sufficient** for a strict-periodicity (throughput) constraint on the
-//! chain's sink or source, for *any* admissible sequence of transfer
+//! graph's sink or source, for *any* admissible sequence of transfer
 //! quanta.
 //!
 //! ## Quick start
@@ -58,14 +58,19 @@
 //! * [`rational`] — exact arithmetic; every bound and period is a
 //!   [`Rational`].
 //! * [`quantum`] — finite quantum sets [`QuantumSet`] (`Pf(N)`).
-//! * [`taskgraph`] — the task model `T = (W, B, ξ, λ, κ, ζ)` and chain
-//!   validation.
-//! * [`rates`] — throughput constraints and `φ` propagation over chains.
+//! * [`taskgraph`] — the task model `T = (W, B, ξ, λ, κ, ζ)` and its
+//!   validation into a [`CondensedView`] (chains, fork/join DAGs, and
+//!   cycles closed by tokened feedback edges).
+//! * [`rates`] — throughput constraints and `φ` propagation over the
+//!   condensed view; on a chain, the paper's walk from the constrained
+//!   endpoint.
 //! * [`bounds`] — the bound distances of Eqs. 1–3 and the Eq. 4
 //!   capacity of one producer–consumer pair ([`PairGaps`]), the one
 //!   place every analysis evaluates them.
 //! * [`capacity`] — the buffer-capacity algorithm (Eq. 4), feasibility
-//!   checks, and the producer–consumer pair shortcut.
+//!   checks, and the producer–consumer pair shortcut.  Every graph is
+//!   sized on one path: [`TaskGraph::condensed`], then
+//!   [`RateAssignment::derive_dag`], then [`PairGaps`] per buffer.
 //!
 //! The companion crates build on this one: `vrdf-sim` (discrete-event
 //! self-timed simulator used to verify sufficiency), `vrdf-sdf` (the
@@ -88,12 +93,11 @@ pub mod taskgraph;
 
 pub use bounds::PairGaps;
 pub use capacity::{
-    compute_buffer_capacities, compute_buffer_capacities_via_chain, compute_buffer_capacities_with,
-    derive_rates, pair_capacity, AnalysisOptions, BufferCapacity, ConstrainedRelease,
-    FeasibilityViolation, GraphAnalysis,
+    compute_buffer_capacities, compute_buffer_capacities_with, derive_rates, pair_capacity,
+    AnalysisOptions, BufferCapacity, ConstrainedRelease, GraphAnalysis,
 };
 pub use error::AnalysisError;
 pub use quantum::QuantumSet;
 pub use rates::{ConstraintLocation, PairTiming, RateAssignment, ThroughputConstraint};
 pub use rational::{rat, ParseRationalError, Rational};
-pub use taskgraph::{Buffer, BufferId, ChainView, CondensedView, Task, TaskGraph, TaskId};
+pub use taskgraph::{Buffer, BufferId, CondensedView, Task, TaskGraph, TaskId};

@@ -31,16 +31,16 @@
 //! demand and the adjacent tasks' binding cadence:
 //! `t(e_xy) = min(φ(v_y)/γ̂(e_xy), φ(v_x)/π̌(e_xy))` sink-constrained
 //! (mirrored source-constrained).  On a chain the two coincide by
-//! construction, so [`RateAssignment::derive_dag`] reproduces the chain
-//! walk of [`RateAssignment::derive`] exactly — `tests/differential.rs`
-//! pins this.
+//! construction, so [`RateAssignment::derive_dag`] is exactly the paper's
+//! walk from the constrained endpoint — `tests/differential.rs` pins it
+//! against an independent implementation of that walk.
 
 use crate::error::AnalysisError;
 use crate::rational::Rational;
-use crate::taskgraph::{BufferId, ChainView, CondensedView, TaskGraph, TaskId};
+use crate::taskgraph::{BufferId, CondensedView, TaskGraph, TaskId};
 
 /// `phi / quantum * quantum` with overflow surfaced as a typed error —
-/// the single step both rate walks chain along the graph.
+/// the single step the rate walk chains along the graph.
 fn propagate(
     phi: Rational,
     divide_by: u64,
@@ -148,8 +148,8 @@ pub struct PairTiming {
     pub consumer_phi: Rational,
 }
 
-/// The result of propagating the throughput constraint over a chain:
-/// `φ(v)` for every task and the bound rate for every buffer.
+/// The result of propagating the throughput constraint over a task
+/// graph: `φ(v)` for every task and the bound rate for every buffer.
 #[derive(Clone, Debug)]
 pub struct RateAssignment {
     constraint: ThroughputConstraint,
@@ -159,120 +159,14 @@ pub struct RateAssignment {
 }
 
 impl RateAssignment {
-    /// Derives rates for a validated chain under a throughput constraint.
-    ///
-    /// # Errors
-    ///
-    /// * [`AnalysisError::ZeroQuantumNotSupported`] — a production set
-    ///   contains 0 in sink-constrained mode (the producer could then stop
-    ///   delivering data for good, so no finite rate assignment exists),
-    ///   or a consumption set contains 0 in source-constrained mode.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use vrdf_core::{
-    ///     QuantumSet, RateAssignment, Rational, TaskGraph, ThroughputConstraint,
-    /// };
-    ///
-    /// let tg = TaskGraph::linear_chain(
-    ///     [("wa", Rational::new(1, 100)), ("wb", Rational::new(1, 100))],
-    ///     [("b", QuantumSet::constant(3), QuantumSet::new([2, 3])?)],
-    /// )?;
-    /// let chain = tg.chain()?;
-    /// let tau = Rational::new(3, 100);
-    /// let rates = RateAssignment::derive(
-    ///     &tg,
-    ///     &chain,
-    ///     ThroughputConstraint::on_sink(tau)?,
-    /// )?;
-    /// // The producer must sustain 3 tokens per tau: phi(wa) = tau.
-    /// assert_eq!(rates.phi(chain.source()), tau);
-    /// # Ok::<(), vrdf_core::AnalysisError>(())
-    /// ```
-    pub fn derive(
-        tg: &TaskGraph,
-        chain: &ChainView,
-        constraint: ThroughputConstraint,
-    ) -> Result<RateAssignment, AnalysisError> {
-        let n = chain.tasks().len();
-        // `phi` is indexed by the task's *insertion* index, which is how
-        // [`RateAssignment::phi`] looks values up; `pos` maps a chain
-        // position to that index.
-        let mut phi = vec![Rational::ZERO; tg.task_count()];
-        let pos = |i: usize| chain.tasks()[i].index();
-        let mut pairs = Vec::with_capacity(chain.buffers().len());
-        match constraint.location {
-            ConstraintLocation::Sink => {
-                phi[pos(n - 1)] = constraint.period;
-                // Walk sink -> source.
-                for i in (0..chain.buffers().len()).rev() {
-                    let buffer_id = chain.buffers()[i];
-                    let buffer = tg.buffer(buffer_id);
-                    if buffer.production().contains_zero() {
-                        return Err(AnalysisError::ZeroQuantumNotSupported {
-                            buffer: buffer.name().to_owned(),
-                            role: "production",
-                        });
-                    }
-                    let consumer_phi = phi[pos(i + 1)];
-                    let (token_period, producer_phi) = propagate(
-                        consumer_phi,
-                        buffer.consumption().max(),
-                        buffer.production().min(),
-                    )?;
-                    phi[pos(i)] = producer_phi;
-                    pairs.push(PairTiming {
-                        buffer: buffer_id,
-                        token_period,
-                        producer_phi,
-                        consumer_phi,
-                    });
-                }
-                pairs.reverse();
-            }
-            ConstraintLocation::Source => {
-                phi[pos(0)] = constraint.period;
-                // Walk source -> sink.
-                for i in 0..chain.buffers().len() {
-                    let buffer_id = chain.buffers()[i];
-                    let buffer = tg.buffer(buffer_id);
-                    if buffer.consumption().contains_zero() {
-                        return Err(AnalysisError::ZeroQuantumNotSupported {
-                            buffer: buffer.name().to_owned(),
-                            role: "consumption",
-                        });
-                    }
-                    let producer_phi = phi[pos(i)];
-                    let (token_period, consumer_phi) = propagate(
-                        producer_phi,
-                        buffer.production().max(),
-                        buffer.consumption().min(),
-                    )?;
-                    phi[pos(i + 1)] = consumer_phi;
-                    pairs.push(PairTiming {
-                        buffer: buffer_id,
-                        token_period,
-                        producer_phi,
-                        consumer_phi,
-                    });
-                }
-            }
-        }
-        Ok(RateAssignment {
-            constraint,
-            phi,
-            pairs,
-        })
-    }
-
-    /// Derives rates for a validated fork/join graph under a throughput
-    /// constraint — the topology-general form of [`RateAssignment::derive`].
+    /// Derives rates for a validated task graph (chain, fork/join DAG or
+    /// cyclic graph) under a throughput constraint.
     ///
     /// Processing order is topological (reversed in sink-constrained
     /// mode), so every task's `φ` is the binding minimum over its already
     /// resolved neighbours; see the module docs for the fork/join rules.
-    /// On a chain this is exactly the chain walk.
+    /// On a chain this is exactly the paper's walk from the constrained
+    /// endpoint (Sections 4.3–4.4).
     ///
     /// When the view carries feedback edges, a back-edge's rate
     /// constraint joins the binding minimum like any other edge: after
@@ -288,10 +182,33 @@ impl RateAssignment {
     /// * [`AnalysisError::AmbiguousEndpoint`] — several sinks in
     ///   sink-constrained mode (or several sources in source-constrained
     ///   mode); the extra endpoints' rates would be underdetermined.
-    /// * [`AnalysisError::ZeroQuantumNotSupported`] — as in
-    ///   [`RateAssignment::derive`].
+    /// * [`AnalysisError::ZeroQuantumNotSupported`] — a production set
+    ///   contains 0 in sink-constrained mode (the producer could then stop
+    ///   delivering data for good, so no finite rate assignment exists),
+    ///   or a consumption set contains 0 in source-constrained mode.
+    /// * [`AnalysisError::ArithmeticOverflow`] — a `φ` or a token period
+    ///   leaves the range of the exact arithmetic.
     /// * [`AnalysisError::UnbrokenCycle`] — the feedback relaxation did
     ///   not converge (the cycle demands ever-increasing rates).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vrdf_core::{
+    ///     QuantumSet, RateAssignment, Rational, TaskGraph, ThroughputConstraint,
+    /// };
+    ///
+    /// let tg = TaskGraph::linear_chain(
+    ///     [("wa", Rational::new(1, 100)), ("wb", Rational::new(1, 100))],
+    ///     [("b", QuantumSet::constant(3), QuantumSet::new([2, 3])?)],
+    /// )?;
+    /// let tau = Rational::new(3, 100);
+    /// let rates =
+    ///     RateAssignment::derive_dag(&tg, &tg.condensed()?, ThroughputConstraint::on_sink(tau)?)?;
+    /// // The producer must sustain 3 tokens per tau: phi(wa) = tau.
+    /// assert_eq!(rates.phi(tg.task_by_name("wa").unwrap()), tau);
+    /// # Ok::<(), vrdf_core::AnalysisError>(())
+    /// ```
     pub fn derive_dag(
         tg: &TaskGraph,
         dag: &CondensedView,
@@ -553,14 +470,15 @@ impl RateAssignment {
     ///
     /// # Panics
     ///
-    /// Panics if `task` is not part of the chain the assignment was
+    /// Panics if `task` is not part of the graph the assignment was
     /// derived for.
     #[inline]
     pub fn phi(&self, task: TaskId) -> Rational {
         self.phi[task.index()]
     }
 
-    /// Per-buffer bound timing, in source-to-sink buffer order.
+    /// Per-buffer bound timing, in the condensed view's buffer order
+    /// (source to sink on a chain).
     #[inline]
     pub fn pairs(&self) -> &[PairTiming] {
         &self.pairs
@@ -582,6 +500,13 @@ mod tests {
 
     fn q(values: &[u64]) -> QuantumSet {
         QuantumSet::new(values.iter().copied()).unwrap()
+    }
+
+    fn rates_of(
+        tg: &TaskGraph,
+        constraint: ThroughputConstraint,
+    ) -> Result<RateAssignment, AnalysisError> {
+        RateAssignment::derive_dag(tg, &tg.condensed().unwrap(), constraint)
     }
 
     /// The MP3 playback chain of Fig. 5 with the paper's response times.
@@ -628,13 +553,7 @@ mod tests {
         // Section 5: response times "that would just allow the throughput
         // constraint to be satisfied" are exactly the phi values.
         let tg = mp3_chain();
-        let chain = tg.chain().unwrap();
-        let rates = RateAssignment::derive(
-            &tg,
-            &chain,
-            ThroughputConstraint::on_sink(rat(1, 44100)).unwrap(),
-        )
-        .unwrap();
+        let rates = rates_of(&tg, ThroughputConstraint::on_sink(rat(1, 44100)).unwrap()).unwrap();
         let phi_ms = |name: &str| rates.phi(tg.task_by_name(name).unwrap()) * rat(1000, 1);
         assert_eq!(phi_ms("vDAC"), rat(1000, 44100) * rat(1, 1)); // ~0.0227 ms
         assert_eq!(phi_ms("vSRC"), rat(10, 1)); // 10 ms
@@ -645,13 +564,7 @@ mod tests {
     #[test]
     fn mp3_token_periods() {
         let tg = mp3_chain();
-        let chain = tg.chain().unwrap();
-        let rates = RateAssignment::derive(
-            &tg,
-            &chain,
-            ThroughputConstraint::on_sink(rat(1, 44100)).unwrap(),
-        )
-        .unwrap();
+        let rates = rates_of(&tg, ThroughputConstraint::on_sink(rat(1, 44100)).unwrap()).unwrap();
         let pairs = rates.pairs();
         assert_eq!(pairs.len(), 3);
         // d3: one token per DAC period.
@@ -661,7 +574,7 @@ mod tests {
         // d1: 960 tokens per 24 ms.
         assert_eq!(pairs[0].token_period, rat(24, 1000) / rat(960, 1));
         // Pair ordering matches the chain's buffer ordering.
-        assert_eq!(pairs[0].buffer, chain.buffers()[0]);
+        assert_eq!(pairs[0].buffer, tg.buffer_by_name("d1").unwrap());
         // consumer phi of pair i equals producer phi of pair i+1.
         assert_eq!(pairs[0].consumer_phi, pairs[1].producer_phi);
         assert_eq!(pairs[1].consumer_phi, pairs[2].producer_phi);
@@ -674,13 +587,7 @@ mod tests {
             [("buf", q(&[0, 3]), q(&[2]))],
         )
         .unwrap();
-        let chain = tg.chain().unwrap();
-        let err = RateAssignment::derive(
-            &tg,
-            &chain,
-            ThroughputConstraint::on_sink(rat(1, 10)).unwrap(),
-        )
-        .unwrap_err();
+        let err = rates_of(&tg, ThroughputConstraint::on_sink(rat(1, 10)).unwrap()).unwrap_err();
         assert!(matches!(
             err,
             AnalysisError::ZeroQuantumNotSupported {
@@ -697,13 +604,7 @@ mod tests {
             [("buf", q(&[3]), q(&[0, 2]))],
         )
         .unwrap();
-        let chain = tg.chain().unwrap();
-        assert!(RateAssignment::derive(
-            &tg,
-            &chain,
-            ThroughputConstraint::on_sink(rat(1, 10)).unwrap(),
-        )
-        .is_ok());
+        assert!(rates_of(&tg, ThroughputConstraint::on_sink(rat(1, 10)).unwrap()).is_ok());
     }
 
     #[test]
@@ -714,17 +615,18 @@ mod tests {
             [("buf", q(&[2, 4]), q(&[3]))],
         )
         .unwrap();
-        let chain = tg.chain().unwrap();
+        let (src, snk) = (
+            tg.task_by_name("src").unwrap(),
+            tg.task_by_name("snk").unwrap(),
+        );
         let tau = rat(1, 5);
-        let rates =
-            RateAssignment::derive(&tg, &chain, ThroughputConstraint::on_source(tau).unwrap())
-                .unwrap();
+        let rates = rates_of(&tg, ThroughputConstraint::on_source(tau).unwrap()).unwrap();
         // token period = tau / pi_hat = (1/5)/4.
         assert_eq!(rates.pairs()[0].token_period, rat(1, 20));
         // phi(snk) = token_period * gamma_min = 3/20.
-        assert_eq!(rates.phi(chain.sink()), rat(3, 20));
-        assert_eq!(rates.phi(chain.source()), tau);
-        assert_eq!(rates.response_time_bound(chain.sink()), rat(3, 20));
+        assert_eq!(rates.phi(snk), rat(3, 20));
+        assert_eq!(rates.phi(src), tau);
+        assert_eq!(rates.response_time_bound(snk), rat(3, 20));
     }
 
     #[test]
@@ -734,13 +636,7 @@ mod tests {
             [("buf", q(&[3]), q(&[0, 2]))],
         )
         .unwrap();
-        let chain = tg.chain().unwrap();
-        let err = RateAssignment::derive(
-            &tg,
-            &chain,
-            ThroughputConstraint::on_source(rat(1, 10)).unwrap(),
-        )
-        .unwrap_err();
+        let err = rates_of(&tg, ThroughputConstraint::on_source(rat(1, 10)).unwrap()).unwrap_err();
         assert!(matches!(
             err,
             AnalysisError::ZeroQuantumNotSupported {
@@ -757,27 +653,7 @@ mod tests {
             [("buf", q(&[0, 3]), q(&[2]))],
         )
         .unwrap();
-        let chain = tg.chain().unwrap();
-        assert!(RateAssignment::derive(
-            &tg,
-            &chain,
-            ThroughputConstraint::on_source(rat(1, 10)).unwrap(),
-        )
-        .is_ok());
-    }
-
-    #[test]
-    fn dag_walk_matches_chain_walk_on_chains() {
-        let tg = mp3_chain();
-        let chain = tg.chain().unwrap();
-        let dag = tg.condensed().unwrap();
-        let constraint = ThroughputConstraint::on_sink(rat(1, 44100)).unwrap();
-        let via_chain = RateAssignment::derive(&tg, &chain, constraint).unwrap();
-        let via_dag = RateAssignment::derive_dag(&tg, &dag, constraint).unwrap();
-        for &task in chain.tasks() {
-            assert_eq!(via_chain.phi(task), via_dag.phi(task));
-        }
-        assert_eq!(via_chain.pairs(), via_dag.pairs());
+        assert!(rates_of(&tg, ThroughputConstraint::on_source(rat(1, 10)).unwrap()).is_ok());
     }
 
     /// A fork: `src` feeds a fast branch (consumes 4 per firing) and a
@@ -991,15 +867,9 @@ mod tests {
     #[test]
     fn single_task_chain_has_no_pairs() {
         let mut tg = TaskGraph::new();
-        tg.add_task("only", rat(1, 10)).unwrap();
-        let chain = tg.chain().unwrap();
-        let rates = RateAssignment::derive(
-            &tg,
-            &chain,
-            ThroughputConstraint::on_sink(rat(1, 2)).unwrap(),
-        )
-        .unwrap();
+        let only = tg.add_task("only", rat(1, 10)).unwrap();
+        let rates = rates_of(&tg, ThroughputConstraint::on_sink(rat(1, 2)).unwrap()).unwrap();
         assert!(rates.pairs().is_empty());
-        assert_eq!(rates.phi(chain.sink()), rat(1, 2));
+        assert_eq!(rates.phi(only), rat(1, 2));
     }
 }

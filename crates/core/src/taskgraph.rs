@@ -22,10 +22,10 @@
 //! tokens ([`TaskGraph::connect_feedback`]) — the condensation of the
 //! graph onto its forward edges is validated by [`TaskGraph::condensed`].
 //! The throughput constraint sits on a task without forward outputs
-//! (sink) or without forward inputs (source).  Section 3.1's **chain**
-//! restriction — every task with at most one input and one output buffer
-//! — survives as the validated special case [`TaskGraph::chain`] /
-//! [`ChainView`].
+//! (sink) or without forward inputs (source).  Section 3.1's **chain** —
+//! every task with at most one input and one output buffer — is the
+//! special case whose condensed view lists tasks and buffers source to
+//! sink; [`TaskGraph::linear_chain`] builds one.
 
 use std::fmt;
 
@@ -177,8 +177,8 @@ impl Buffer {
 /// let wa = tg.add_task("wa", Rational::new(1, 10))?;
 /// let wb = tg.add_task("wb", Rational::new(1, 10))?;
 /// tg.connect("b_ab", wa, wb, QuantumSet::constant(3), QuantumSet::new([2, 3])?)?;
-/// let chain = tg.chain()?;
-/// assert_eq!(chain.len(), 2);
+/// let view = tg.condensed()?;
+/// assert_eq!(view.len(), 2);
 /// # Ok::<(), vrdf_core::AnalysisError>(())
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -552,10 +552,7 @@ impl TaskGraph {
             .collect();
         // Buffers — feedback edges included — follow their producer's
         // topological position (then connection order), so on a chain the
-        // view reproduces the source-to-sink buffer order of
-        // [`TaskGraph::chain`] no matter the insertion order — the DAG
-        // and chain analysis paths stay positionally interchangeable on
-        // linear graphs, and acyclic graphs order exactly as before.
+        // view lists them source to sink no matter the insertion order.
         let buffers = topo
             .iter()
             .flat_map(|t| self.outputs[t.0].iter().copied())
@@ -656,80 +653,6 @@ impl TaskGraph {
         names
     }
 
-    /// Validates the chain topology of Section 3.1 and returns the tasks
-    /// and buffers in source-to-sink order.
-    ///
-    /// # Errors
-    ///
-    /// * [`AnalysisError::EmptyGraph`] — no tasks.
-    /// * [`AnalysisError::NotAChain`] — a task with two or more inputs or
-    ///   outputs, or a cycle.
-    /// * [`AnalysisError::Disconnected`] — more than one weakly connected
-    ///   component.
-    pub fn chain(&self) -> Result<ChainView, AnalysisError> {
-        if self.tasks.is_empty() {
-            return Err(AnalysisError::EmptyGraph);
-        }
-        if let Some(b) = self.buffers.iter().find(|b| b.feedback) {
-            return Err(AnalysisError::NotAChain {
-                task: self.tasks[b.producer.0].name.clone(),
-                detail: format!(
-                    "feedback buffer `{}` closes a cycle; chains are acyclic \
-                     (use `condensed()`)",
-                    b.name
-                ),
-            });
-        }
-        for (id, task) in self.tasks() {
-            if self.outputs[id.0].len() > 1 {
-                return Err(AnalysisError::NotAChain {
-                    task: task.name.clone(),
-                    detail: format!("{} output buffers", self.outputs[id.0].len()),
-                });
-            }
-            if self.inputs[id.0].len() > 1 {
-                return Err(AnalysisError::NotAChain {
-                    task: task.name.clone(),
-                    detail: format!("{} input buffers", self.inputs[id.0].len()),
-                });
-            }
-        }
-        // Exactly one source in a chain (a cycle of in/out degree one has
-        // none).
-        let sources: Vec<TaskId> = self
-            .tasks()
-            .map(|(id, _)| id)
-            .filter(|id| self.inputs[id.0].is_empty())
-            .collect();
-        let first = match sources.as_slice() {
-            [] => {
-                return Err(AnalysisError::NotAChain {
-                    task: self.tasks[0].name.clone(),
-                    detail: "the graph contains a cycle".into(),
-                })
-            }
-            [one] => *one,
-            _ => return Err(AnalysisError::Disconnected),
-        };
-        // Walk the chain from the source.
-        let mut order = vec![first];
-        let mut buffers = Vec::new();
-        let mut current = first;
-        while let Some(&out) = self.outputs[current.0].first() {
-            buffers.push(out);
-            current = self.buffers[out.0].consumer;
-            order.push(current);
-        }
-        if order.len() != self.tasks.len() {
-            // The walk did not reach every task: disconnected components.
-            return Err(AnalysisError::Disconnected);
-        }
-        Ok(ChainView {
-            tasks: order,
-            buffers,
-        })
-    }
-
     /// Convenience builder for a linear chain: `tasks[i]` is connected to
     /// `tasks[i+1]` by `buffers[i]`.
     ///
@@ -799,78 +722,15 @@ impl TaskGraph {
     }
 }
 
-/// A validated chain: tasks ordered from source to sink, with
-/// `buffers[i]` connecting `tasks[i]` to `tasks[i+1]`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChainView {
-    tasks: Vec<TaskId>,
-    buffers: Vec<BufferId>,
-}
-
-impl ChainView {
-    /// Tasks in source-to-sink order.
-    #[inline]
-    pub fn tasks(&self) -> &[TaskId] {
-        &self.tasks
-    }
-
-    /// Buffers in source-to-sink order; `buffers()[i]` connects
-    /// `tasks()[i]` to `tasks()[i+1]`.
-    #[inline]
-    pub fn buffers(&self) -> &[BufferId] {
-        &self.buffers
-    }
-
-    /// Number of tasks in the chain.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether the chain is empty (never true for a validated chain).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// The source task (no input buffers).
-    #[inline]
-    pub fn source(&self) -> TaskId {
-        self.tasks[0]
-    }
-
-    /// The sink task (no output buffers).
-    #[inline]
-    pub fn sink(&self) -> TaskId {
-        // `chain()` rejects empty graphs before building a view.
-        #[allow(clippy::expect_used)]
-        *self.tasks.last().expect("chains are non-empty")
-    }
-
-    /// The chain as a [`CondensedView`]: tasks in chain order (which is
-    /// a topological order) and buffers in chain order.  A chain is the
-    /// degenerate fork/join graph with all degrees at most one and no
-    /// feedback edges, so this is a plain relabelling — no re-validation.
-    pub fn to_condensed(&self) -> CondensedView {
-        CondensedView {
-            topo: self.tasks.clone(),
-            buffers: self.buffers.clone(),
-            sources: vec![self.source()],
-            sinks: vec![self.sink()],
-            feedback: Vec::new(),
-        }
-    }
-}
-
 /// A validated task graph condensed onto its forward core: tasks in
 /// topological order of the forward edges, buffers (feedback edges
 /// included) ordered by their producer's topological position, the
 /// declared feedback edges, and the endpoint (source/sink) sets the
 /// throughput constraint can attach to.
 ///
-/// Produced by [`TaskGraph::condensed`] or [`ChainView::to_condensed`];
-/// on a chain both order the buffers source to sink.  On an acyclic
-/// graph the view has no feedback edges.
+/// Produced by [`TaskGraph::condensed`]; on a chain it orders tasks and
+/// buffers source to sink.  On an acyclic graph the view has no feedback
+/// edges.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CondensedView {
     topo: Vec<TaskId>,
@@ -1037,83 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_order() {
-        let tg = TaskGraph::linear_chain(
-            [("t0", rat(1, 1)), ("t1", rat(1, 1)), ("t2", rat(1, 1))],
-            [("b0", q(&[2]), q(&[3])), ("b1", q(&[1]), q(&[4]))],
-        )
-        .unwrap();
-        let chain = tg.chain().unwrap();
-        assert_eq!(chain.len(), 3);
-        assert!(!chain.is_empty());
-        assert_eq!(chain.source(), tg.task_by_name("t0").unwrap());
-        assert_eq!(chain.sink(), tg.task_by_name("t2").unwrap());
-        assert_eq!(chain.buffers().len(), 2);
-        assert_eq!(
-            tg.buffer(chain.buffers()[0]).producer(),
-            tg.task_by_name("t0").unwrap()
-        );
-    }
-
-    #[test]
-    fn empty_graph_rejected() {
-        let tg = TaskGraph::new();
-        assert!(matches!(tg.chain(), Err(AnalysisError::EmptyGraph)));
-    }
-
-    #[test]
-    fn single_task_is_a_chain() {
-        let mut tg = TaskGraph::new();
-        tg.add_task("only", rat(1, 1)).unwrap();
-        let chain = tg.chain().unwrap();
-        assert_eq!(chain.len(), 1);
-        assert_eq!(chain.source(), chain.sink());
-        assert!(chain.buffers().is_empty());
-    }
-
-    #[test]
-    fn fork_rejected() {
-        let mut tg = TaskGraph::new();
-        let a = tg.add_task("a", rat(1, 1)).unwrap();
-        let b = tg.add_task("b", rat(1, 1)).unwrap();
-        let c = tg.add_task("c", rat(1, 1)).unwrap();
-        tg.connect("ab", a, b, q(&[1]), q(&[1])).unwrap();
-        tg.connect("ac", a, c, q(&[1]), q(&[1])).unwrap();
-        assert!(matches!(tg.chain(), Err(AnalysisError::NotAChain { .. })));
-    }
-
-    #[test]
-    fn join_rejected() {
-        let mut tg = TaskGraph::new();
-        let a = tg.add_task("a", rat(1, 1)).unwrap();
-        let b = tg.add_task("b", rat(1, 1)).unwrap();
-        let c = tg.add_task("c", rat(1, 1)).unwrap();
-        tg.connect("ac", a, c, q(&[1]), q(&[1])).unwrap();
-        tg.connect("bc", b, c, q(&[1]), q(&[1])).unwrap();
-        assert!(matches!(tg.chain(), Err(AnalysisError::NotAChain { .. })));
-    }
-
-    #[test]
-    fn cycle_rejected() {
-        let mut tg = TaskGraph::new();
-        let a = tg.add_task("a", rat(1, 1)).unwrap();
-        let b = tg.add_task("b", rat(1, 1)).unwrap();
-        tg.connect("ab", a, b, q(&[1]), q(&[1])).unwrap();
-        tg.connect("ba", b, a, q(&[1]), q(&[1])).unwrap();
-        assert!(matches!(tg.chain(), Err(AnalysisError::NotAChain { .. })));
-    }
-
-    #[test]
-    fn disconnected_rejected() {
-        let mut tg = TaskGraph::new();
-        let a = tg.add_task("a", rat(1, 1)).unwrap();
-        let b = tg.add_task("b", rat(1, 1)).unwrap();
-        tg.add_task("lonely", rat(1, 1)).unwrap();
-        tg.connect("ab", a, b, q(&[1]), q(&[1])).unwrap();
-        assert!(matches!(tg.chain(), Err(AnalysisError::Disconnected)));
-    }
-
-    #[test]
     fn unknown_task_handle_rejected() {
         let mut tg = TaskGraph::new();
         let a = tg.add_task("a", rat(1, 1)).unwrap();
@@ -1170,7 +953,6 @@ mod tests {
     #[test]
     fn dag_accepts_fork_join_in_topological_order() {
         let tg = diamond();
-        assert!(matches!(tg.chain(), Err(AnalysisError::NotAChain { .. })));
         let dag = tg.condensed().unwrap();
         assert_eq!(dag.len(), 4);
         assert!(!dag.is_empty());
@@ -1260,38 +1042,17 @@ mod tests {
     #[test]
     fn dag_buffer_order_follows_producers_not_insertion() {
         // A chain whose tasks and buffers are inserted sink-first: the
-        // view must still order both source to sink, exactly like
-        // `chain()`, so the DAG and chain analysis paths stay
-        // positionally interchangeable on linear graphs.
+        // view must still order both source to sink.
         let mut tg = TaskGraph::new();
         let c = tg.add_task("c", rat(1, 1)).unwrap();
         let b = tg.add_task("b", rat(1, 1)).unwrap();
         let a = tg.add_task("a", rat(1, 1)).unwrap();
         tg.connect("bc", b, c, q(&[1]), q(&[1])).unwrap();
         tg.connect("ab", a, b, q(&[2]), q(&[2])).unwrap();
-        let chain = tg.chain().unwrap();
         let dag = tg.condensed().unwrap();
-        assert_eq!(dag.tasks(), chain.tasks());
-        assert_eq!(dag.buffers(), chain.buffers());
+        assert_eq!(dag.tasks(), &[a, b, c]);
         let names: Vec<&str> = dag.buffers().iter().map(|&b| tg.buffer(b).name()).collect();
         assert_eq!(names, vec!["ab", "bc"]);
-    }
-
-    #[test]
-    fn chain_to_dag_preserves_chain_order() {
-        let tg = TaskGraph::linear_chain(
-            [("t0", rat(1, 1)), ("t1", rat(1, 1)), ("t2", rat(1, 1))],
-            [("b0", q(&[2]), q(&[3])), ("b1", q(&[1]), q(&[4]))],
-        )
-        .unwrap();
-        let chain = tg.chain().unwrap();
-        let dag = chain.to_condensed();
-        assert_eq!(dag.tasks(), chain.tasks());
-        assert_eq!(dag.buffers(), chain.buffers());
-        assert_eq!(dag.sources(), &[chain.source()]);
-        assert_eq!(dag.sinks(), &[chain.sink()]);
-        // And the direct validation agrees with the conversion.
-        assert_eq!(tg.condensed().unwrap(), dag);
     }
 
     #[test]
@@ -1389,27 +1150,6 @@ mod tests {
         assert_eq!(view.sinks(), &[c]);
         assert_eq!(view.unique_source(&tg).unwrap(), a);
         assert_eq!(view.unique_sink(&tg).unwrap(), c);
-    }
-
-    #[test]
-    fn chain_rejects_feedback_edges() {
-        let mut tg = TaskGraph::new();
-        let a = tg.add_task("a", rat(1, 1)).unwrap();
-        let b = tg.add_task("b", rat(1, 1)).unwrap();
-        tg.connect("ab", a, b, q(&[1]), q(&[1])).unwrap();
-        tg.connect_feedback("ba", b, a, q(&[1]), q(&[1]), 2)
-            .unwrap();
-        match tg.chain() {
-            Err(AnalysisError::NotAChain { task, detail }) => {
-                assert_eq!(task, "b");
-                assert!(detail.contains("feedback"), "{detail}");
-            }
-            other => panic!("expected NotAChain, got {other:?}"),
-        }
-        // But the condensed view accepts the two-task loop.
-        let view = tg.condensed().unwrap();
-        assert_eq!(view.len(), 2);
-        assert_eq!(view.feedback_buffers().len(), 1);
     }
 
     #[test]

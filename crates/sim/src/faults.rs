@@ -361,7 +361,8 @@ impl fmt::Display for FaultValidationReport {
 /// [`SimError::InvalidFault`] for a negative stall, [`SimError::Analysis`]
 /// for an unknown task name in the fault plan, and
 /// [`SimError::TickOverflow`] when the graph's or the plan's times do not
-/// fit the tick clock.  Scenario violations are graded, not raised.
+/// fit the tick clock, and [`SimError::NoEndpointFirings`] for a battery
+/// of zero endpoint firings.  Scenario violations are graded, not raised.
 pub fn validate_capacities_under_faults(
     tg: &TaskGraph,
     analysis: &GraphAnalysis,

@@ -160,6 +160,10 @@ pub enum SimError {
         /// The over-filled buffer.
         buffer: String,
     },
+    /// A scenario battery asked for zero endpoint firings
+    /// ([`ValidationOptions::endpoint_firings`]): every scenario would
+    /// complete at once and pass whatever the capacities.
+    NoEndpointFirings,
 }
 
 impl fmt::Display for SimError {
@@ -192,6 +196,9 @@ impl fmt::Display for SimError {
             }
             SimError::InitialTokensExceedCapacity { buffer } => {
                 write!(f, "initial tokens of buffer `{buffer}` exceed its capacity")
+            }
+            SimError::NoEndpointFirings => {
+                f.write_str("a battery of zero endpoint firings checks nothing")
             }
         }
     }

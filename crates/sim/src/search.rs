@@ -293,7 +293,9 @@ fn probe_runner<'g>(
 ///
 /// Propagates [`SimError`] from simulator construction (e.g.
 /// [`SimError::TickOverflow`] when the graph's times do not fit the tick
-/// clock).  Probe *failures* are not errors — they steer the search.
+/// clock, or [`SimError::NoEndpointFirings`] for a battery of zero
+/// endpoint firings).  Probe *failures* are not errors — they steer the
+/// search.
 ///
 /// # Examples
 ///

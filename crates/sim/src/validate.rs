@@ -71,7 +71,8 @@ use crate::SimError;
 /// Tunables for [`validate_capacities`].
 #[derive(Clone, Debug)]
 pub struct ValidationOptions {
-    /// Periodic endpoint firings to check per scenario.
+    /// Periodic endpoint firings to check per scenario; zero is refused
+    /// with [`SimError::NoEndpointFirings`].
     pub endpoint_firings: u64,
     /// Number of seeded-random scenarios.
     pub random_runs: u32,
@@ -398,8 +399,9 @@ fn scenario_plans(tg: &TaskGraph, opts: &ValidationOptions) -> Vec<(String, Quan
 ///
 /// Propagates [`SimError`] from simulator construction (e.g.
 /// [`SimError::TickOverflow`] when the graph's times do not fit the tick
-/// clock); scenario violations are reported in the [`ValidationReport`],
-/// not as errors.
+/// clock, or [`SimError::NoEndpointFirings`] for a battery of zero
+/// endpoint firings); scenario violations are reported in the
+/// [`ValidationReport`], not as errors.
 ///
 /// # Examples
 ///
@@ -500,9 +502,10 @@ impl<'a> ScenarioRunner<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] from plan construction: an invalid DAG,
-    /// an ambiguous endpoint, or [`SimError::TickOverflow`] when the
-    /// graph's times do not fit the `u64` tick clock.
+    /// [`SimError::NoEndpointFirings`] when `opts.endpoint_firings` is
+    /// zero; otherwise propagates [`SimError`] from plan construction: an
+    /// invalid DAG, an ambiguous endpoint, or [`SimError::TickOverflow`]
+    /// when the graph's times do not fit the `u64` tick clock.
     pub fn new(
         tg: &'a TaskGraph,
         constraint: ThroughputConstraint,
@@ -525,6 +528,9 @@ impl<'a> ScenarioRunner<'a> {
         opts: &ValidationOptions,
         faults: Option<FaultPlan>,
     ) -> Result<ScenarioRunner<'a>, SimError> {
+        if opts.endpoint_firings == 0 {
+            return Err(SimError::NoEndpointFirings);
+        }
         let mut config = SimConfig::periodic(constraint, offset);
         config.release = release;
         config.max_endpoint_firings = opts.endpoint_firings;

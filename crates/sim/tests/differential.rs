@@ -11,24 +11,25 @@
 //!    seeded-random quantum scenarios, in both self-timed and strictly
 //!    periodic modes, including under-provisioned runs that end in
 //!    deadline misses or deadlock.
-//! 2. **CondensedView vs ChainView analysis path**: on every linear graph the
-//!    general DAG analysis (`compute_buffer_capacities`, topological
-//!    propagation with binding minima) must be bit-identical to the
-//!    retained chain walk (`compute_buffer_capacities_via_chain`) —
-//!    capacities with all intermediates, per-task `φ`, violations, and
-//!    the minimization verdicts built on top of them.
+//! 2. **The analysis vs the paper's chain walk**: on every linear graph
+//!    the one analysis path (`compute_buffer_capacities_with`: the
+//!    condensed view, `RateAssignment::derive_dag`'s topological
+//!    propagation with binding minima, and `PairGaps`) must give exactly
+//!    the `φ`, pair timings and Eq. (4) capacities of `chain_walk` below,
+//!    an independent implementation of Sections 4.3–4.4 — sink-constrained
+//!    on the originals and source-constrained on their reversals.
 
 use vrdf_apps::synthetic::{
     fork_join_of, random_chain, random_chain_of_length, random_dag, ChainSpec, DagSpec,
 };
 use vrdf_apps::{mp3_chain, mp3_constraint, mp3_feedback, mp3_fork_join};
 use vrdf_core::{
-    compute_buffer_capacities, compute_buffer_capacities_via_chain, AnalysisOptions,
-    ConstrainedRelease, QuantumSet, Rational, TaskGraph, ThroughputConstraint,
+    compute_buffer_capacities, compute_buffer_capacities_with, AnalysisOptions, ConstrainedRelease,
+    ConstraintLocation, PairTiming, QuantumSet, Rational, TaskGraph, ThroughputConstraint,
 };
 use vrdf_sim::{
-    conservative_offset, minimize_capacities, QuantumPlan, QuantumPolicy, ReferenceSimulator,
-    SearchOptions, SimConfig, SimReport, Simulator, TraceLevel, ValidationOptions,
+    conservative_offset, QuantumPlan, QuantumPolicy, ReferenceSimulator, SimConfig, SimReport,
+    Simulator, TraceLevel,
 };
 
 /// Asserts two reports are observably identical.
@@ -247,50 +248,124 @@ fn event_budget_exhaustion_is_identical_across_engines() {
     );
 }
 
-/// Asserts the DAG analysis path and the chain analysis path produced
-/// bit-identical results for a linear graph.
-fn assert_analysis_identical(tg: &TaskGraph, constraint: ThroughputConstraint, context: &str) {
+/// The paper's rate walk (Sections 4.3–4.4) and Eq. (4), written against
+/// the graph's adjacency alone: start at the constrained endpoint of a
+/// chain (the task with no output buffer, or no input buffer), and cross
+/// one buffer per step.  Sink-constrained, each step divides the
+/// consumer's `φ` by `γ̂` (the token period) and multiplies it by `π̌`
+/// (the producer's `φ`); source-constrained, it divides the producer's
+/// `φ` by `π̂` and multiplies by `γ̌`.  Returns `φ` by task index and each
+/// buffer's pair timing and capacity by buffer index.
+fn chain_walk(
+    tg: &TaskGraph,
+    constraint: ThroughputConstraint,
+    release: ConstrainedRelease,
+) -> (Vec<Rational>, Vec<(PairTiming, u64)>) {
+    let sink = constraint.location() == ConstraintLocation::Sink;
+    let (endpoint, _) = tg
+        .tasks()
+        .find(|&(t, _)| {
+            let outward = if sink {
+                tg.output_buffers(t)
+            } else {
+                tg.input_buffers(t)
+            };
+            outward.is_empty()
+        })
+        .expect("a chain has a constrained endpoint");
+    let mut phi = vec![Rational::ZERO; tg.task_count()];
+    let mut pairs = vec![None; tg.buffer_count()];
+    phi[endpoint.index()] = constraint.period();
+    let mut at = endpoint;
+    loop {
+        let inward = if sink {
+            tg.input_buffers(at)
+        } else {
+            tg.output_buffers(at)
+        };
+        let Some(&id) = inward.first() else { break };
+        let b = tg.buffer(id);
+        let (next, divide_by, multiply_by) = if sink {
+            (b.producer(), b.consumption().max(), b.production().min())
+        } else {
+            (b.consumer(), b.production().max(), b.consumption().min())
+        };
+        let t = phi[at.index()] / Rational::from(divide_by);
+        phi[next.index()] = t * Rational::from(multiply_by);
+        // Eq. (3): both response times and both quantum spans; under
+        // `Immediate` the constrained endpoint's response time drops out.
+        let rho = |task| {
+            if task == endpoint && release == ConstrainedRelease::Immediate {
+                Rational::ZERO
+            } else {
+                tg.task(task).response_time()
+            }
+        };
+        let span = |quantum: u64| t * Rational::from(quantum - 1);
+        let gap = rho(b.producer())
+            + rho(b.consumer())
+            + span(b.production().max())
+            + span(b.consumption().max());
+        let capacity = u64::try_from((gap / t + Rational::ONE).floor()).expect("fits u64");
+        let timing = PairTiming {
+            buffer: id,
+            token_period: t,
+            producer_phi: phi[b.producer().index()],
+            consumer_phi: phi[b.consumer().index()],
+        };
+        pairs[id.index()] = Some((timing, capacity));
+        at = next;
+    }
+    let pairs = pairs
+        .into_iter()
+        .map(|p| p.expect("the walk reaches every buffer"));
+    (phi, pairs.collect())
+}
+
+/// Asserts that the analysis of a linear graph gives exactly the `φ`,
+/// pair timings and Eq. (4) capacities of [`chain_walk`], under both
+/// release conventions.
+fn assert_matches_chain_walk(tg: &TaskGraph, constraint: ThroughputConstraint, context: &str) {
     for release in [
         ConstrainedRelease::Immediate,
         ConstrainedRelease::AfterResponseTime,
     ] {
-        let options = AnalysisOptions {
-            release,
-            enforce_feasibility: false,
-        };
-        let via_dag = vrdf_core::compute_buffer_capacities_with(tg, constraint, options)
-            .unwrap_or_else(|e| panic!("{context}: dag path failed: {e}"));
-        let via_chain = compute_buffer_capacities_via_chain(tg, constraint, options)
-            .unwrap_or_else(|e| panic!("{context}: chain path failed: {e}"));
-        // Every published field of every capacity, bit for bit.
-        assert_eq!(
-            via_dag.capacities(),
-            via_chain.capacities(),
-            "{context} ({release:?}): capacities"
-        );
-        for (id, _) in tg.tasks() {
+        let analysis = compute_buffer_capacities_with(tg, constraint, AnalysisOptions { release })
+            .unwrap_or_else(|e| panic!("{context} ({release:?}): analysis failed: {e}"));
+        let (phi, walked) = chain_walk(tg, constraint, release);
+        for (id, task) in tg.tasks() {
             assert_eq!(
-                via_dag.rates().phi(id),
-                via_chain.rates().phi(id),
-                "{context} ({release:?}): phi of task {id}"
+                analysis.rates().phi(id),
+                phi[id.index()],
+                "{context} ({release:?}): phi of {}",
+                task.name()
             );
         }
-        assert_eq!(via_dag.rates().pairs(), via_chain.rates().pairs());
-        assert_eq!(via_dag.violations(), via_chain.violations());
-        assert_eq!(via_dag.total_capacity(), via_chain.total_capacity());
+        let pairs = analysis.rates().pairs();
+        assert_eq!(pairs.len(), walked.len(), "{context}: one pair per buffer");
+        for (pair, c) in pairs.iter().zip(analysis.capacities()) {
+            let (timing, capacity) = walked[pair.buffer.index()];
+            assert_eq!(*pair, timing, "{context} ({release:?}): {}", c.name);
+            assert_eq!(c.buffer, pair.buffer, "{context}: capacity order");
+            assert_eq!(
+                c.capacity, capacity,
+                "{context} ({release:?}): Eq. (4) of {}",
+                c.name
+            );
+        }
     }
 }
 
 #[test]
 fn dag_analysis_path_is_identical_to_chain_path_on_linear_graphs() {
-    assert_analysis_identical(&mp3_chain(), mp3_constraint(), "mp3");
+    assert_matches_chain_walk(&mp3_chain(), mp3_constraint(), "mp3");
     let spec = ChainSpec::default();
     for seed in 0..48 {
         let (tg, constraint) = random_chain(seed, &spec).unwrap();
-        assert_analysis_identical(&tg, constraint, &format!("random chain seed {seed}"));
+        assert_matches_chain_walk(&tg, constraint, &format!("random chain seed {seed}"));
     }
-    // A chain inserted sink-first: the two paths must agree positionally
-    // (CondensedView orders buffers by producer topo position, not insertion).
+    // A chain inserted sink-first: the condensed view still orders it
+    // source to sink, and the walk must still agree.
     let mut permuted = TaskGraph::new();
     let snk = permuted.add_task("snk", Rational::ONE).unwrap();
     let mid = permuted.add_task("mid", Rational::ONE).unwrap();
@@ -299,35 +374,71 @@ fn dag_analysis_path_is_identical_to_chain_path_on_linear_graphs() {
     permuted.connect("late", mid, snk, q(2), q(2)).unwrap();
     permuted.connect("early", src, mid, q(3), q(3)).unwrap();
     let constraint = ThroughputConstraint::on_sink(Rational::from(4u64)).unwrap();
-    assert_analysis_identical(&permuted, constraint, "sink-first insertion order");
+    assert_matches_chain_walk(&permuted, constraint, "sink-first insertion order");
+}
+
+/// The graph with every buffer flipped: each one runs from its consumer
+/// to its producer, with its production and consumption sets swapped.
+/// Tasks, names and response times stay.  Moving the throughput
+/// constraint to the other endpoint at the same `τ` gives the graph's
+/// dual (the paper's data edge and space edge trade roles).  Feedback
+/// edges have no such dual without their capacity, so none may occur.
+fn reverse(tg: &TaskGraph) -> TaskGraph {
+    let mut rev = TaskGraph::new();
+    let ids: Vec<_> = tg
+        .tasks()
+        .map(|(_, t)| rev.add_task(t.name(), t.response_time()).unwrap())
+        .collect();
+    for (_, b) in tg.buffers() {
+        assert!(
+            !b.is_feedback(),
+            "reverse: `{}` is a feedback edge",
+            b.name()
+        );
+        let (from, to) = (ids[b.consumer().index()], ids[b.producer().index()]);
+        let (production, consumption) = (b.consumption().clone(), b.production().clone());
+        rev.connect(b.name(), from, to, production, consumption)
+            .unwrap();
+    }
+    rev
 }
 
 #[test]
-fn dag_analysis_path_yields_identical_minimization_verdicts() {
-    // The minimization driver consumes an analysis; feeding it the chain
-    // path's and the DAG path's must land on identical per-edge minima,
-    // probe counts, and gap tables.
-    let opts = SearchOptions {
-        validation: ValidationOptions {
-            endpoint_firings: 300,
-            random_runs: 2,
-            ..ValidationOptions::default()
-        },
-        ..SearchOptions::default()
-    };
+fn chain_walk_holds_source_constrained_on_every_reversed_chain() {
     let spec = ChainSpec::default();
-    for seed in [3, 7, 19] {
+    for seed in 0..48 {
         let (tg, constraint) = random_chain(seed, &spec).unwrap();
-        let via_dag = compute_buffer_capacities(&tg, constraint).unwrap();
-        let via_chain =
-            compute_buffer_capacities_via_chain(&tg, constraint, AnalysisOptions::default())
-                .unwrap();
-        let a = minimize_capacities(&tg, &via_dag, &opts).unwrap();
-        let b = minimize_capacities(&tg, &via_chain, &opts).unwrap();
-        assert_eq!(a.baseline_clear, b.baseline_clear, "seed {seed}");
-        assert_eq!(a.offset, b.offset, "seed {seed}");
-        assert_eq!(a.edges, b.edges, "seed {seed}");
-        assert_eq!(a.probes, b.probes, "seed {seed}");
+        let rev = reverse(&tg);
+        let dual = ThroughputConstraint::on_source(constraint.period()).unwrap();
+        let context = format!("reversed chain seed {seed}");
+        assert_matches_chain_walk(&rev, dual, &context);
+
+        // The dual sizes every buffer alike: Eq. (4) and the token
+        // period per buffer name, under both conventions, and the SDF
+        // baseline too.
+        for release in [
+            ConstrainedRelease::Immediate,
+            ConstrainedRelease::AfterResponseTime,
+        ] {
+            let options = AnalysisOptions { release };
+            let a = compute_buffer_capacities_with(&tg, constraint, options).unwrap();
+            let b = compute_buffer_capacities_with(&rev, dual, options).unwrap();
+            for c in a.capacities() {
+                let d = b.capacities().iter().find(|d| d.name == c.name).unwrap();
+                assert_eq!(
+                    (c.capacity, c.token_period),
+                    (d.capacity, d.token_period),
+                    "{context} ({release:?}): {}",
+                    c.name
+                );
+            }
+        }
+        let a = vrdf_sdf::baseline_capacities(&tg, constraint).unwrap();
+        let b = vrdf_sdf::baseline_capacities(&rev, dual).unwrap();
+        for e in a.edges() {
+            let d = b.edges().iter().find(|d| d.name == e.name).unwrap();
+            assert_eq!(e.capacity, d.capacity, "{context}: SDF baseline {}", e.name);
+        }
     }
 }
 

@@ -6,9 +6,9 @@
 //! capacities, Eq. (1)–(4) values past the exact arithmetic's range).
 //! The test drives the full public pipeline over each — the VRDF
 //! analysis and both constant-rate (SDF) analyses, the scenario battery,
-//! the minimization search, both simulator engines — and only requires
-//! that each call returns *some* `Result` (or a graded report) without
-//! unwinding.
+//! the minimization search, both simulator engines — and requires that
+//! each call returns *some* `Result` (or a graded report) without
+//! unwinding, and an error for a battery of zero endpoint firings.
 
 use vrdf_core::{
     compute_buffer_capacities, rat, AnalysisError, PairGaps, QuantumSet, Rational, TaskGraph,
@@ -18,7 +18,7 @@ use vrdf_sdf::{analyze, baseline_capacities, CsdfGraph, SdfError};
 use vrdf_sim::{
     conservative_offset, minimize_capacities, validate_capacities,
     validate_capacities_under_faults, FaultPlan, FaultValidationOptions, QuantumPlan,
-    QuantumPolicy, ReferenceSimulator, SearchOptions, SimConfig, SimOutcome, Simulator,
+    QuantumPolicy, ReferenceSimulator, SearchOptions, SimConfig, SimError, SimOutcome, Simulator,
     ValidationOptions,
 };
 
@@ -322,8 +322,8 @@ fn overflowing() -> Vec<Pathology> {
 }
 
 /// Small, fast batteries: the second one's random seeds wrap past
-/// `u64::MAX`.
-fn batteries() -> [ValidationOptions; 2] {
+/// `u64::MAX`, and the third checks no endpoint firing at all.
+fn batteries() -> [ValidationOptions; 3] {
     let quick = ValidationOptions {
         endpoint_firings: 20,
         random_runs: 1,
@@ -334,7 +334,11 @@ fn batteries() -> [ValidationOptions; 2] {
         random_runs: 2,
         ..quick.clone()
     };
-    [quick, wrapping]
+    let empty = ValidationOptions {
+        endpoint_firings: 0,
+        ..quick.clone()
+    };
+    [quick, wrapping, empty]
 }
 
 #[test]
@@ -362,33 +366,54 @@ fn every_entry_point_is_total_over_the_pathology_corpus() {
             1,
             rat(1, 2),
         );
+        let offset = conservative_offset(&p.tg, &analysis);
         for battery in batteries() {
-            let _ = validate_capacities(&p.tg, &analysis, &battery);
-            let _ = validate_capacities_under_faults(
-                &p.tg,
-                &analysis,
-                &[],
-                &faults,
-                &FaultValidationOptions {
-                    validation: battery.clone(),
-                    recovery_firings: 2,
-                },
-            );
-            let _ = minimize_capacities(
-                &p.tg,
-                &analysis,
-                &SearchOptions {
-                    validation: battery,
-                    ..SearchOptions::default()
-                },
-            );
+            let runs = [
+                validate_capacities(&p.tg, &analysis, &battery).map(drop),
+                validate_capacities_under_faults(
+                    &p.tg,
+                    &analysis,
+                    &[],
+                    &faults,
+                    &FaultValidationOptions {
+                        validation: battery.clone(),
+                        recovery_firings: 2,
+                    },
+                )
+                .map(drop),
+                minimize_capacities(
+                    &p.tg,
+                    &analysis,
+                    &SearchOptions {
+                        validation: battery.clone(),
+                        ..SearchOptions::default()
+                    },
+                )
+                .map(drop),
+            ];
+            // A battery of zero endpoint firings would pass whatever the
+            // capacities: each entry point refuses it, once the offset
+            // it runs at is representable at all.
+            if battery.endpoint_firings == 0 {
+                for run in runs {
+                    assert!(
+                        match run {
+                            Err(SimError::NoEndpointFirings) => true,
+                            Err(_) => offset.is_err(),
+                            Ok(()) => false,
+                        },
+                        "{}: a zero-firing battery gave {run:?}",
+                        p.name
+                    );
+                }
+            }
         }
 
         // Both engines, straight on the sized graph.  The conservative
         // offset itself may be unrepresentable (huge denominators) — a
         // typed error, after which there is nothing left to simulate.
         let sized = analysis.with_capacities(&p.tg, &[]);
-        let Ok(offset) = conservative_offset(&p.tg, &analysis) else {
+        let Ok(offset) = offset else {
             continue;
         };
         let mut config = SimConfig::periodic(p.constraint, offset);
